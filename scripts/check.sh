@@ -8,6 +8,8 @@
 #      pass, the seeded-bad one must fail
 #   4. run one bench binary with --json and assert the result file parses
 #      and carries latency percentile summaries (p50/p95/p99)
+#   5. configure, build and test a Release tree in build-release (GCC
+#      raises some warnings, -Wrestrict among them, only at -O3)
 #
 # Modes:
 #   scripts/check.sh [build-dir]     default tier-1 pass (build dir: build);
@@ -252,6 +254,15 @@ shard_smoke() {
   echo "shard gate: saturation smoke + json ok"
 }
 
+# Release gate: the optimized configuration a user may pick must build
+# under -Werror (some GCC diagnostics fire only at -O3) and pass the suite.
+release_build() {
+  cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
+  cmake --build build-release -j "$JOBS"
+  (cd build-release && ctest --output-on-failure -j "$JOBS")
+  echo "release gate: Release build and tests ok"
+}
+
 # Memo smoke: bench_memo_validation asserts its own acceptance criteria
 # (memo-on outcomes identical to memo-off, cache hits recorded, strictly
 # less simulated time) and exits nonzero on any failure.
@@ -363,6 +374,7 @@ memo_smoke "$BUILD_DIR"
 gray_smoke "$BUILD_DIR"
 trace_smoke "$BUILD_DIR"
 shard_smoke "$BUILD_DIR"
+release_build
 "$0" --threads
 "$0" --asan
 

@@ -156,7 +156,12 @@ namespace detail {
     (void)low;
     return buf;
   };
-  return "[" + bound(i.lo, true) + ", " + bound(i.hi, false) + "]";
+  std::string out = "[";
+  out += bound(i.lo, true);
+  out += ", ";
+  out += bound(i.hi, false);
+  out += ']';
+  return out;
 }
 
 /// Per-attribute interval environment.  Attributes absent from the map

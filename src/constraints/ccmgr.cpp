@@ -95,13 +95,9 @@ ConstraintConsistencyManager::collect_matches(ConstraintRepository& repository,
                                               ConstraintType type) {
   std::vector<ConstraintRepository::Match> out;
   rt_.charge(rt_.cost().constraint_lookup);
-  if (!ancestry_) {
-    const auto& direct = repository.lookup(inv.target_class, inv.method, type);
-    out.assign(direct.begin(), direct.end());
-    return out;
-  }
-  for (const std::string& cls : ancestry_(inv.target_class)) {
-    const auto& matches = repository.lookup(cls, inv.method, type);
+  const Symbol method = inv.method_descriptor->id;
+  for (Symbol cls : inv.target_descriptor->ancestry_ids()) {
+    const auto& matches = repository.lookup(cls, method, type);
     out.insert(out.end(), matches.begin(), matches.end());
   }
   return out;
@@ -112,12 +108,10 @@ ConstraintConsistencyManager::precondition_groups(
     ConstraintRepository& repository, const Invocation& inv) {
   std::vector<std::vector<ConstraintRepository::Match>> groups;
   rt_.charge(rt_.cost().constraint_lookup);
-  const std::vector<std::string> classes =
-      ancestry_ ? ancestry_(inv.target_class)
-                : std::vector<std::string>{inv.target_class};
-  for (const std::string& cls : classes) {
+  const Symbol method = inv.method_descriptor->id;
+  for (Symbol cls : inv.target_descriptor->ancestry_ids()) {
     const auto& matches =
-        repository.lookup(cls, inv.method, ConstraintType::Precondition);
+        repository.lookup(cls, method, ConstraintType::Precondition);
     if (!matches.empty()) {
       groups.emplace_back(matches.begin(), matches.end());
     }
@@ -275,7 +269,8 @@ bool ConstraintConsistencyManager::should_skip(
   }
   // A Satisfied outcome removes a matching stored threat (Section 3.3);
   // skipping must not suppress that removal.
-  if (threats_.has(threat_identity(match.constraint->name(),
+  if (threats_.identity_count() != 0 &&
+      threats_.has(threat_identity(match.constraint->name(),
                                    context_object))) {
     return false;
   }

@@ -119,15 +119,6 @@ class ConstraintConsistencyManager final : public TransactionalResource {
     scheduling_ = wiring.scheduler;
   }
 
-  /// Class-hierarchy resolver (behavioral subtyping, Section 2.3.1):
-  /// constraints of superclasses/interfaces also apply, preconditions
-  /// OR'd across levels, postconditions/invariants AND'd [DL96].
-  using AncestryQuery =
-      std::function<std::vector<std::string>(const std::string&)>;
-  void set_class_ancestry(AncestryQuery query) {
-    ancestry_ = std::move(query);
-  }
-
   /// When a threat is negotiated (Section 5.4): immediately when it
   /// arises, or deferred in a batch at transaction commit (useful for
   /// longer-lasting transactions).
@@ -306,8 +297,10 @@ class ConstraintConsistencyManager final : public TransactionalResource {
   /// Repository for the application the invocation belongs to.
   ConstraintRepository& repository_for(const Invocation& inv);
 
-  /// Matches of `type` for the invocation's class and all its ancestors,
-  /// flattened (postconditions/invariants: conjunction semantics).
+  /// Matches of `type` for the invocation's class and all its ancestors
+  /// (behavioral subtyping, Section 2.3.1: constraints of superclasses and
+  /// interfaces also apply), flattened (postconditions/invariants:
+  /// conjunction semantics [DL96]).
   std::vector<ConstraintRepository::Match> collect_matches(
       ConstraintRepository& repository, const Invocation& inv,
       ConstraintType type);
@@ -395,7 +388,6 @@ class ConstraintConsistencyManager final : public TransactionalResource {
   std::function<void(const ConsistencyThreat&)> replicate_threat_;
   SatisfactionDegree default_min_ = SatisfactionDegree::Satisfied;
   ConstraintValidationContext::ObjectQuery object_query_;
-  AncestryQuery ancestry_;
   NegotiationTiming negotiation_timing_ = NegotiationTiming::Immediate;
 
   bool degraded_ = false;

@@ -8,10 +8,15 @@
 //
 // Two search modes reproduce the Chapter-2 study: a naive scan that walks
 // every registration per query, and an optimized mode that caches query
-// results in a hash table keyed by class+method+type (Section 2.2.1).
+// results in a hash table (Section 2.2.1).  Class names and method
+// signatures are interned to integer symbols at registration, so both the
+// scan and the table compare and hash integers: the table is keyed by
+// (class symbol, method id, type) and builds no string per query.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -73,8 +78,15 @@ class ConstraintRepository {
     if (by_name_.count(name) != 0) {
       throw ConfigError("duplicate constraint name: " + name);
     }
+    std::vector<AffectedId> ids;
+    ids.reserve(reg.affected_methods.size());
+    for (const AffectedMethod& am : reg.affected_methods) {
+      ids.push_back(
+          AffectedId{intern(am.class_name), intern(am.method.key())});
+    }
     by_name_[name] = registrations_.size();
     registrations_.push_back(std::move(reg));
+    affected_ids_.push_back(std::move(ids));
     config_.reset();  // stale: the deployed set changed
     invalidate_cache();
   }
@@ -83,8 +95,9 @@ class ConstraintRepository {
   void remove(const std::string& name) {
     auto it = by_name_.find(name);
     if (it == by_name_.end()) throw ConfigError("unknown constraint: " + name);
-    registrations_.erase(registrations_.begin() +
-                         static_cast<std::ptrdiff_t>(it->second));
+    const auto index = static_cast<std::ptrdiff_t>(it->second);
+    registrations_.erase(registrations_.begin() + index);
+    affected_ids_.erase(affected_ids_.begin() + index);
     by_name_.clear();
     for (std::size_t i = 0; i < registrations_.size(); ++i) {
       by_name_[registrations_[i].constraint->name()] = i;
@@ -111,7 +124,7 @@ class ConstraintRepository {
   }
 
   /// Attaches a static-analysis report to a registered constraint.
-  /// Cached Match vectors carry raw report pointers, so the query cache
+  /// Cached Match vectors carry raw report pointers, so the query table
   /// is invalidated.
   void set_analysis(const std::string& name,
                     std::shared_ptr<const analysis::AnalysisReport> report) {
@@ -144,56 +157,85 @@ class ConstraintRepository {
 
   // -- search ----------------------------------------------------------------
 
-  /// Enables/disables the query cache (the "optimized repository").
-  /// Idempotent: re-asserting the current mode keeps the warm cache.
+  /// Enables/disables the query table (the "optimized repository").
+  /// Idempotent: re-asserting the current mode keeps the warm table.
   void set_caching(bool on) {
     if (on == caching_) return;
     caching_ = on;
     invalidate_cache();
   }
 
-  /// All enabled constraints of `type` affected by `method` on
-  /// `class_name`, each with its context-preparation rule.
-  const std::vector<Match>& lookup(const std::string& class_name,
-                                   const MethodSignature& method,
+  /// All enabled constraints of `type` affected by the method with
+  /// interned signature `method` (MethodDescriptor::id) on the class with
+  /// symbol `cls`, each with its context-preparation rule.  The reference
+  /// is valid until the next lookup or change of the repository.
+  const std::vector<Match>& lookup(Symbol cls, Symbol method,
                                    ConstraintType type) {
     ++searches_;
     if (!caching_) {
-      scratch_ = search(class_name, method, type);
+      scratch_ = search(cls, method, type);
       return scratch_;
     }
-    const std::string key =
-        class_name + '#' + method.key() + '#' +
-        std::to_string(static_cast<int>(type));
-    auto it = cache_.find(key);
-    if (it != cache_.end()) {
+    const Key key{cls, method, type};
+    auto it = table_.find(key);
+    if (it != table_.end()) {
       ++cache_hits_;
       return it->second;
     }
     ++cache_misses_;
-    auto [ins, _] = cache_.emplace(key, search(class_name, method, type));
-    return ins->second;
+    return table_.emplace(key, search(cls, method, type)).first->second;
+  }
+
+  /// The same query by name, for callers outside the invocation path.
+  const std::vector<Match>& lookup(const std::string& class_name,
+                                   const MethodSignature& method,
+                                   ConstraintType type) {
+    return lookup(intern(class_name), intern(method.key()), type);
   }
 
   [[nodiscard]] std::size_t search_count() const { return searches_; }
-  /// Query-cache hit/miss counters (only move while caching is on).
+  /// Query-table hit/miss counters (only move while caching is on): a
+  /// query misses the first time after each invalidation, then hits.
   [[nodiscard]] std::size_t cache_hit_count() const { return cache_hits_; }
   [[nodiscard]] std::size_t cache_miss_count() const { return cache_misses_; }
 
  private:
+  struct AffectedId {
+    Symbol cls;
+    Symbol method;
+    friend bool operator==(const AffectedId&, const AffectedId&) = default;
+  };
+
+  struct Key {
+    Symbol cls;
+    Symbol method;
+    ConstraintType type;
+    friend bool operator==(const Key&, const Key&) = default;
+  };
+
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const {
+      return std::hash<std::uint64_t>{}(
+          (std::uint64_t{k.cls} << 32) ^ (std::uint64_t{k.method} << 3) ^
+          static_cast<std::uint64_t>(k.type));
+    }
+  };
+
   /// Linear scan over every registration and affected method — the
   /// non-optimized search whose cost dominates Fig. 2.2.
-  std::vector<Match> search(const std::string& class_name,
-                            const MethodSignature& method,
+  std::vector<Match> search(Symbol cls, Symbol method,
                             ConstraintType type) const {
     std::vector<Match> out;
-    const std::string method_key = method.key();
-    for (const auto& reg : registrations_) {
+    const AffectedId wanted{cls, method};
+    for (std::size_t r = 0; r < registrations_.size(); ++r) {
+      const ConstraintRegistration& reg = registrations_[r];
       Constraint& c = *reg.constraint;
       if (!c.enabled() || c.type() != type) continue;
-      for (const auto& am : reg.affected_methods) {
-        if (am.class_name == class_name && am.method.key() == method_key) {
-          out.push_back(Match{&c, &am.preparation, reg.analysis.get()});
+      const std::vector<AffectedId>& ids = affected_ids_[r];
+      for (std::size_t a = 0; a < ids.size(); ++a) {
+        if (ids[a] == wanted) {
+          out.push_back(Match{&c, &reg.affected_methods[a].preparation,
+                              reg.analysis.get()});
           break;
         }
       }
@@ -201,13 +243,16 @@ class ConstraintRepository {
     return out;
   }
 
-  void invalidate_cache() { cache_.clear(); }
+  void invalidate_cache() { table_.clear(); }
 
   std::vector<ConstraintRegistration> registrations_;
+  /// Interned (class, method) of each registration's affected methods,
+  /// parallel to registrations_[i].affected_methods.
+  std::vector<std::vector<AffectedId>> affected_ids_;
   std::shared_ptr<const analysis::ConfigAnalysis> config_;
   std::unordered_map<std::string, std::size_t> by_name_;
   bool caching_ = true;
-  std::unordered_map<std::string, std::vector<Match>> cache_;
+  std::unordered_map<Key, std::vector<Match>, KeyHash> table_;
   std::vector<Match> scratch_;
   std::size_t searches_ = 0;
   std::size_t cache_hits_ = 0;

@@ -49,12 +49,13 @@ class ReplicationInterceptor final : public Interceptor {
     }
     if (inv.mutates && inv.tx.valid() && repl.has_local_replica(inv.target)) {
       EntitySnapshot before = repl.local_replica(inv.target).snapshot();
+      const bool was_marked = repl.degraded_updates().count(inv.target) != 0;
       DedisysNode* node = node_;
-      node_->tx().on_rollback(inv.tx, [node, before] {
+      node_->tx().on_rollback(inv.tx, [node, before, was_marked] {
         ReplicationManager& r = node->replication();
         if (r.has_local_replica(before.id)) {
           r.local_replica(before.id).restore(before);
-          r.propagate_restore(before.id);
+          r.propagate_restore(before.id, was_marked);
         }
       });
     }
@@ -141,9 +142,6 @@ DedisysNode::DedisysNode(Cluster& cluster, NodeId id,
   ccmgr_ = std::make_unique<ConstraintConsistencyManager>(
       cluster.constraints(), cluster.threats(), *tm_, rt, id,
       std::move(wiring));
-  ccmgr_->set_class_ancestry([cl](const std::string& class_name) {
-    return cl->classes().ancestry(class_name);
-  });
 
   if (options.with_ccm) {
     server_chain_.add(std::make_shared<CCMInterceptor>(*ccmgr_, *accessor_));
@@ -210,7 +208,9 @@ ObjectId DedisysNode::create(TxId tx, const std::string& class_name,
   Runtime& rt = cluster_->runtime();
   Runtime::Section section(rt);
   // Root span: the creation multicast to the replicas attaches to it.
-  obs::SpanGuard span_guard(obs_, rt, "create " + class_name, id_, {}, tx);
+  obs::SpanGuard span_guard(
+      obs_, rt, obs::on(obs_) ? "create " + class_name : std::string(), id_,
+      {}, tx);
   const SimTime start = rt.now();
   rt.charge(rt.cost().invocation_overhead);
   const ObjectId id =
@@ -248,31 +248,19 @@ void DedisysNode::destroy(TxId tx, ObjectId id) {
   notify_deleted(id);
 }
 
-const MethodDescriptor& DedisysNode::resolve_method(
-    const std::string& class_name, const std::string& method_name,
-    std::size_t arity) const {
-  const ClassDescriptor& cls = cluster_->classes().get(class_name);
-  for (const auto& [key, md] : cls.methods()) {
-    if (md.signature.name == method_name &&
-        md.signature.param_types.size() == arity) {
-      return md;
-    }
-  }
-  throw ConfigError("no method " + method_name + "/" + std::to_string(arity) +
-                    " on class " + class_name);
-}
-
 Value DedisysNode::invoke(TxId tx, ObjectId target,
                           const std::string& method_name,
                           std::vector<Value> args) {
   const ObjectDirectory::Entry& entry = cluster_->directory()->get(target);
-  const MethodDescriptor& md =
-      resolve_method(entry.class_name, method_name, args.size());
+  const ClassDescriptor& cls = cluster_->classes().get(entry.class_name);
+  const MethodDescriptor& md = cls.resolve(method_name, args.size());
 
   Invocation inv;
   inv.target = target;
   inv.target_class = entry.class_name;
   inv.method = md.signature;
+  inv.target_descriptor = &cls;
+  inv.method_descriptor = &md;
   inv.args = std::move(args);
   inv.tx = tx;
   inv.client_node = id_;
@@ -285,7 +273,8 @@ Value DedisysNode::invoke(TxId tx, ObjectId target,
   Runtime& rt = cluster_->runtime();
   Runtime::Section section(rt);
   const SimTime invoke_start = rt.now();
-  const std::string span = entry.class_name + "::" + method_name;
+  const std::string span =
+      obs::on(obs_) ? entry.class_name + "::" + method_name : std::string();
   // The invocation's causal root span: every event emitted while the call
   // is on the stack — validations, 2PC, GCS legs, backup applies — joins
   // this trace (a top-level call opens a fresh trace; a call made from a
@@ -360,13 +349,15 @@ Value DedisysNode::invoke_nested(TxId tx, ObjectId target,
                                  const MethodSignature& method,
                                  std::vector<Value> args) {
   const ObjectDirectory::Entry& entry = cluster_->directory()->get(target);
-  const MethodDescriptor& md =
-      cluster_->classes().get(entry.class_name).method(method);
+  const ClassDescriptor& cls = cluster_->classes().get(entry.class_name);
+  const MethodDescriptor& md = cls.method(method);
 
   Invocation inv;
   inv.target = target;
   inv.target_class = entry.class_name;
   inv.method = md.signature;
+  inv.target_descriptor = &cls;
+  inv.method_descriptor = &md;
   inv.args = std::move(args);
   inv.tx = tx;
   inv.client_node = id_;
@@ -379,8 +370,10 @@ Value DedisysNode::invoke_nested(TxId tx, ObjectId target,
 
   Runtime& rt = cluster_->runtime();
   Runtime::Section section(rt);
-  obs::SpanGuard span_guard(obs_, rt, entry.class_name + "::" + method.name,
-                            id_, target, tx);
+  obs::SpanGuard span_guard(
+      obs_, rt,
+      obs::on(obs_) ? entry.class_name + "::" + method.name : std::string(),
+      id_, target, tx);
 
   const NodeId exec = repl_->execution_node(target, inv.is_write);
   inv.server_node = exec;
@@ -407,9 +400,7 @@ Value DedisysNode::execute_server(Invocation& inv) {
 }
 
 Value DedisysNode::terminal_dispatch(Invocation& inv) {
-  const ObjectDirectory::Entry& entry = cluster_->directory()->get(inv.target);
-  const MethodDescriptor& md =
-      cluster_->classes().get(entry.class_name).method(inv.method);
+  const MethodDescriptor& md = *inv.method_descriptor;
   Entity& entity = repl_->local_replica(inv.target);
 
   if (inv.is_write && inv.tx.valid()) tm_->lock(inv.tx, inv.target);

@@ -177,10 +177,6 @@ class DedisysNode final : public ViewListener {
 
   Value terminal_dispatch(Invocation& inv);
 
-  const MethodDescriptor& resolve_method(const std::string& class_name,
-                                         const std::string& method_name,
-                                         std::size_t arity) const;
-
   Cluster* cluster_;
   NodeId id_;
   NodeOptions options_;

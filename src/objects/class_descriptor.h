@@ -8,10 +8,12 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "objects/value.h"
@@ -22,6 +24,14 @@ namespace dedisys {
 
 class Entity;
 struct MethodContext;
+
+/// Process-wide interned name: class names and method-signature keys map
+/// to small integers once, at registration, so the invocation path
+/// compares and hashes integers instead of strings.
+using Symbol = std::uint32_t;
+
+/// Returns the symbol of `text`, interning it on first use (thread-safe).
+Symbol intern(const std::string& text);
 
 /// Classification mirroring the EJB conventions of Section 4.3: all
 /// methods starting with `set` + upper-case letter count as writes; other
@@ -58,6 +68,10 @@ struct MethodDescriptor {
   MethodSignature signature;
   MethodKind kind = MethodKind::Mutator;
   MethodBody body;
+  /// intern(signature.key()), assigned by define_method: equal
+  /// signatures on different classes share one id, so a call can be
+  /// matched against constraints registered on any ancestor.
+  Symbol id = 0;
 
   [[nodiscard]] bool is_write() const {
     return kind == MethodKind::Setter || kind == MethodKind::Mutator ||
@@ -71,9 +85,19 @@ struct MethodDescriptor {
   }
 };
 
+class ClassRegistry;
+
 class ClassDescriptor {
  public:
-  explicit ClassDescriptor(std::string name) : name_(std::move(name)) {}
+  explicit ClassDescriptor(std::string name)
+      : name_(std::move(name)), ancestry_ids_{intern(name_)} {}
+
+  // Method lookups hold pointers into methods_; a move keeps the map's
+  // nodes (and so the pointers) valid, a copy would not.
+  ClassDescriptor(const ClassDescriptor&) = delete;
+  ClassDescriptor& operator=(const ClassDescriptor&) = delete;
+  ClassDescriptor(ClassDescriptor&&) = default;
+  ClassDescriptor& operator=(ClassDescriptor&&) = default;
 
   [[nodiscard]] const std::string& name() const { return name_; }
 
@@ -81,14 +105,20 @@ class ClassDescriptor {
 
   /// Declares the superclass; its constraints also apply to this class
   /// (preconditions OR'd, postconditions/invariants AND'd [DL96]).
-  void set_super(const std::string& super) { super_ = super; }
+  void set_super(const std::string& super);
   [[nodiscard]] const std::string& super() const { return super_; }
 
-  void add_interface(const std::string& iface) {
-    interfaces_.push_back(iface);
-  }
+  void add_interface(const std::string& iface);
   [[nodiscard]] const std::vector<std::string>& interfaces() const {
     return interfaces_;
+  }
+
+  /// Symbols of ClassRegistry::ancestry(name()), precomputed by the
+  /// owning registry whenever the class graph changes (just this class
+  /// while it belongs to no registry).  Valid until the next define,
+  /// set_super or add_interface.
+  [[nodiscard]] const std::vector<Symbol>& ancestry_ids() const {
+    return ancestry_ids_;
   }
 
   // -- attributes -----------------------------------------------------------
@@ -104,15 +134,7 @@ class ClassDescriptor {
   // -- methods --------------------------------------------------------------
 
   MethodDescriptor& define_method(MethodSignature sig, MethodKind kind,
-                                  MethodBody body) {
-    const std::string key = sig.key();
-    auto [it, inserted] = methods_.emplace(
-        key, MethodDescriptor{std::move(sig), kind, std::move(body)});
-    if (!inserted) {
-      throw ConfigError("duplicate method " + key + " on class " + name_);
-    }
-    return it->second;
-  }
+                                  MethodBody body);
 
   /// Declares attribute `attr` together with conventional
   /// `get<Attr>()` / `set<Attr>(value)` accessor methods.
@@ -120,10 +142,7 @@ class ClassDescriptor {
                        const std::string& value_type);
 
   [[nodiscard]] const MethodDescriptor* find_method(
-      const MethodSignature& sig) const {
-    auto it = methods_.find(sig.key());
-    return it == methods_.end() ? nullptr : &it->second;
-  }
+      const MethodSignature& sig) const;
 
   [[nodiscard]] const MethodDescriptor& method(
       const MethodSignature& sig) const {
@@ -134,25 +153,53 @@ class ClassDescriptor {
     return *m;
   }
 
+  /// The method a client call `name(arg, ...)` with `arity` arguments
+  /// binds to: among same-name overloads of that arity, the one with the
+  /// smallest signature key.
+  [[nodiscard]] const MethodDescriptor& resolve(const std::string& name,
+                                                std::size_t arity) const;
+
   [[nodiscard]] const std::map<std::string, MethodDescriptor>& methods()
       const {
     return methods_;
   }
 
  private:
+  friend class ClassRegistry;
+
   std::string name_;
   std::string super_;
   std::vector<std::string> interfaces_;
   AttributeMap defaults_;
   std::map<std::string, MethodDescriptor> methods_;
+  /// Method name -> its overloads, in signature-key order.
+  std::unordered_map<std::string, std::vector<const MethodDescriptor*>>
+      by_name_;
+  std::vector<Symbol> ancestry_ids_;
+  ClassRegistry* registry_ = nullptr;
 };
 
 /// Registry of class descriptors deployed on a cluster.
 class ClassRegistry {
  public:
+  ClassRegistry() = default;
+  ClassRegistry(const ClassRegistry&) = delete;
+  ClassRegistry& operator=(const ClassRegistry&) = delete;
+  ClassRegistry(ClassRegistry&& other) noexcept
+      : classes_(std::move(other.classes_)) {
+    adopt();
+  }
+  ClassRegistry& operator=(ClassRegistry&& other) noexcept {
+    classes_ = std::move(other.classes_);
+    adopt();
+    return *this;
+  }
+
   ClassDescriptor& define(const std::string& name) {
     auto [it, inserted] = classes_.emplace(name, ClassDescriptor(name));
     if (!inserted) throw ConfigError("duplicate class " + name);
+    it->second.registry_ = this;
+    rebuild_ancestry();  // `name` may already be another class's ancestor
     return it->second;
   }
 
@@ -189,7 +236,34 @@ class ClassRegistry {
   }
 
  private:
+  friend class ClassDescriptor;
+
+  /// Recomputes every class's ancestry_ids(): one edge can change the
+  /// ancestry of all classes below it.
+  void rebuild_ancestry() {
+    for (auto& [name, cls] : classes_) {
+      cls.ancestry_ids_.clear();
+      for (const std::string& a : ancestry(name)) {
+        cls.ancestry_ids_.push_back(intern(a));
+      }
+    }
+  }
+
+  void adopt() {
+    for (auto& [name, cls] : classes_) cls.registry_ = this;
+  }
+
   std::map<std::string, ClassDescriptor> classes_;
 };
+
+inline void ClassDescriptor::set_super(const std::string& super) {
+  super_ = super;
+  if (registry_ != nullptr) registry_->rebuild_ancestry();
+}
+
+inline void ClassDescriptor::add_interface(const std::string& iface) {
+  interfaces_.push_back(iface);
+  if (registry_ != nullptr) registry_->rebuild_ancestry();
+}
 
 }  // namespace dedisys

@@ -23,6 +23,11 @@ struct Invocation {
   ObjectId target;
   std::string target_class;
   MethodSignature method;
+  /// What the kernel resolved the call to, once per call: the constraint
+  /// lookup walks `target_descriptor->ancestry_ids()` with
+  /// `method_descriptor->id`, and the terminal dispatch runs its body.
+  const ClassDescriptor* target_descriptor = nullptr;
+  const MethodDescriptor* method_descriptor = nullptr;
   std::vector<Value> args;
   TxId tx;
   NodeId client_node;

@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -116,11 +117,14 @@ class Observability {
 /// obs::on branch.  Span boundaries carry no simulated-time cost.
 class SpanGuard {
  public:
-  SpanGuard(Observability* obs, const TimeSource& clock, std::string label,
-            NodeId node = {}, ObjectId object = {}, TxId tx = {},
-            TraceContext parent = {})
+  /// The label is copied only while tracing is on: an untraced span
+  /// allocates nothing.
+  SpanGuard(Observability* obs, const TimeSource& clock,
+            std::string_view label, NodeId node = {}, ObjectId object = {},
+            TxId tx = {}, TraceContext parent = {})
       : obs_(on(obs) ? obs : nullptr), clock_(clock), node_(node),
-        object_(object), tx_(tx), label_(std::move(label)) {
+        object_(object), tx_(tx),
+        label_(obs_ != nullptr ? std::string(label) : std::string()) {
     if (obs_ == nullptr) return;
     obs_->push_span(parent);
     obs_->event(clock_.now(), TraceEventKind::SpanStart, node_, object_, tx_,

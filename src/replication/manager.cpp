@@ -227,7 +227,7 @@ void ReplicationManager::propagate_update(ObjectId id, TxId tx) {
   }
 }
 
-void ReplicationManager::propagate_restore(ObjectId id) {
+void ReplicationManager::propagate_restore(ObjectId id, bool keep_mark) {
   if (!replication_enabled_) return;
   Entity& local = local_replica(id);
   Runtime& rt = gc_.runtime();
@@ -242,13 +242,15 @@ void ReplicationManager::propagate_restore(ObjectId id) {
                       if (p != nullptr) {
                         p->apply_snapshot(snap);
                         // the aborted update never happened, logically
-                        p->degraded_updates_.erase(snap.id);
+                        if (!keep_mark) p->degraded_updates_.erase(snap.id);
                       }
                     });
   if (reached > 0) rt.charge(rt.cost().backup_apply);
   // Undo also cancels this object's degraded-write mark on this node: the
-  // net effect of the aborted transaction is no update.
-  degraded_updates_.erase(id);
+  // net effect of the aborted transaction is no update.  An update
+  // committed before it keeps the mark, or the reconciler would skip the
+  // object and leave the partitions' replicas divergent.
+  if (!keep_mark) degraded_updates_.erase(id);
 }
 
 void ReplicationManager::replicate_threat_record() {

@@ -103,8 +103,12 @@ class ReplicationManager final : public StalenessOracle {
   /// Propagates the CURRENT local state to reachable backups without
   /// degraded-mode bookkeeping — used when a transaction rollback restores
   /// a pre-transaction state (an undo is not a logical update and must not
-  /// register as a conflicting degraded write).
-  void propagate_restore(ObjectId id);
+  /// register as a conflicting degraded write).  The object's
+  /// degraded-update mark is dropped on every replica reached unless
+  /// `keep_mark`: the caller passes whether the object was marked before
+  /// the aborted update, i.e. whether an earlier degraded update (which
+  /// the reconciler must still see) exists.
+  void propagate_restore(ObjectId id, bool keep_mark);
 
   /// Propagates a threat record to all reachable partition members
   /// (accepted threats are replicated, Section 5.1).

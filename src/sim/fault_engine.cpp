@@ -367,8 +367,10 @@ std::string format_double(double v) {
 std::string cuts_to_text(const std::vector<OneWayCut>& cuts) {
   std::string out;
   for (const OneWayCut& c : cuts) {
-    out += " " + std::to_string(c.from.value()) + ">" +
-           std::to_string(c.to.value());
+    out += ' ';
+    out += std::to_string(c.from.value());
+    out += '>';
+    out += std::to_string(c.to.value());
   }
   return out;
 }

@@ -296,8 +296,9 @@ TEST(Analysis, RenderDiagnosticsFormat) {
 void define_wide_class(ClassRegistry& classes) {
   ClassDescriptor& wide = classes.define("Wide");
   for (int k = 0; k < 4; ++k) {
-    wide.define_property("f" + std::to_string(k), Value{std::int64_t{0}},
-                         "int");
+    std::string attr = "f";
+    attr += std::to_string(k);
+    wide.define_property(attr, Value{std::int64_t{0}}, "int");
   }
 }
 

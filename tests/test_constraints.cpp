@@ -140,8 +140,10 @@ TEST_F(RepositoryTest, RuntimeDisableAndRemove) {
 
 TEST_F(RepositoryTest, CachedAndNaiveSearchAgree) {
   for (int i = 0; i < 20; ++i) {
+    std::string name = "C";
+    name += std::to_string(i);
     repo_.register_constraint(
-        registration("C" + std::to_string(i), i % 2 == 0 ? "A" : "B", "m"));
+        registration(name, i % 2 == 0 ? "A" : "B", "m"));
   }
   repo_.set_caching(true);
   const auto cached =
@@ -169,6 +171,124 @@ TEST_F(RepositoryTest, SearchCountTracksQueries) {
   (void)repo_.lookup("A", {"m", {}}, ConstraintType::HardInvariant);
   (void)repo_.lookup("A", {"m", {}}, ConstraintType::Precondition);
   EXPECT_EQ(repo_.search_count(), before + 2);
+}
+
+/// Deterministic xorshift so the random reconfiguration is reproducible.
+struct XorShift {
+  std::uint64_t state = 0x9e3779b97f4a7c15ULL;
+  std::uint64_t next() {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  }
+  std::size_t below(std::size_t n) {
+    return static_cast<std::size_t>(next() % n);
+  }
+};
+
+/// One lookup result in a form comparable across two repositories.
+std::vector<std::string> describe(
+    const std::vector<ConstraintRepository::Match>& matches) {
+  std::vector<std::string> out;
+  for (const auto& m : matches) {
+    std::string row = m.constraint->name();
+    row += '/';
+    row += m.preparation->getter;
+    row += m.analysis != nullptr ? "/analyzed" : "/-";
+    out.push_back(row);
+  }
+  return out;
+}
+
+// The warm query table must answer exactly like the naive scan through
+// any sequence of runtime reconfiguration: a seeded random mix of
+// registrations, removals, enable/disable, analysis attachment and caching
+// toggles, with every key queried (twice, so warm entries are hit) after
+// each step.  A table entry kept across a change that should have dropped
+// it shows as a difference (or, for a removed constraint, a dangling
+// pointer the sanitizer build reports).
+TEST(RepositoryTable, AgreesWithNaiveScanUnderRandomReconfiguration) {
+  const std::vector<std::string> classes = {"A", "B", "Z"};
+  const std::vector<MethodSignature> methods = {
+      {"m", {}}, {"m", {"int"}}, {"n", {}}};
+  const std::vector<ConstraintType> types = {
+      ConstraintType::Precondition, ConstraintType::Postcondition,
+      ConstraintType::HardInvariant, ConstraintType::SoftInvariant,
+      ConstraintType::AsyncInvariant};
+  const auto report = std::make_shared<const analysis::AnalysisReport>();
+
+  ConstraintRepository table;  // caching toggled at random
+  ConstraintRepository naive;  // caching always off
+  naive.set_caching(false);
+  bool caching = true;
+  std::vector<std::string> live;
+  int next_id = 0;
+  std::size_t lookups_while_caching = 0;
+  XorShift rng;
+
+  for (int step = 0; step < 400; ++step) {
+    const std::size_t op = live.empty() ? 0 : rng.below(5);
+    if (op == 0) {
+      std::string name = "C";
+      name += std::to_string(next_id++);
+      const ConstraintType type = types[rng.below(types.size())];
+      std::vector<AffectedMethod> affected;
+      for (std::size_t k = 0, n = 1 + rng.below(2); k < n; ++k) {
+        ContextPreparation prep;
+        if (rng.below(2) == 0) {
+          prep = {ContextPreparationKind::ReferenceGetter, "getOwner"};
+        }
+        affected.push_back(AffectedMethod{classes[rng.below(classes.size())],
+                                          methods[rng.below(methods.size())],
+                                          prep});
+      }
+      for (ConstraintRepository* repo : {&table, &naive}) {
+        ConstraintRegistration reg;
+        reg.constraint = make_constraint(name, type);
+        reg.affected_methods = affected;
+        repo->register_constraint(std::move(reg));
+      }
+      live.push_back(name);
+    } else if (op == 1) {
+      const std::size_t i = rng.below(live.size());
+      table.remove(live[i]);
+      naive.remove(live[i]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+    } else if (op == 2) {
+      const std::string& name = live[rng.below(live.size())];
+      const bool on = rng.below(3) != 0;
+      table.set_enabled(name, on);
+      naive.set_enabled(name, on);
+    } else if (op == 3) {
+      const std::string& name = live[rng.below(live.size())];
+      const auto attached = rng.below(2) == 0 ? report : nullptr;
+      table.set_analysis(name, attached);
+      naive.set_analysis(name, attached);
+    } else {
+      caching = rng.below(4) != 0;
+      table.set_caching(caching);
+    }
+
+    for (const std::string& cls : classes) {
+      for (const MethodSignature& method : methods) {
+        for (ConstraintType type : types) {
+          const auto expected = describe(naive.lookup(cls, method, type));
+          for (int round = 0; round < 2; ++round) {
+            ASSERT_EQ(describe(table.lookup(cls, method, type)), expected)
+                << "step " << step << " op " << op << " key " << cls << '#'
+                << method.key() << '#' << static_cast<int>(type);
+            if (caching) ++lookups_while_caching;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(table.search_count(), naive.search_count() * 2);
+  EXPECT_EQ(table.cache_hit_count() + table.cache_miss_count(),
+            lookups_while_caching);
+  EXPECT_GT(table.cache_hit_count(), table.cache_miss_count());
+  EXPECT_EQ(naive.cache_hit_count() + naive.cache_miss_count(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -172,5 +172,44 @@ TEST_F(InheritanceTest, DiamondAncestryIsDeduplicated) {
   EXPECT_EQ(chain.size(), 4u);
 }
 
+// The constraint lookup walks each class's precomputed ancestry; a
+// superclass or interface declared after calls have already run (and
+// warmed the lookup table) must apply from the next call on, with
+// preconditions still OR'd across hierarchy levels.
+TEST_F(InheritanceTest, HierarchyDeclaredAfterFirstCallApplies) {
+  ClassDescriptor& late = cluster_.classes().define("LateAccount");
+  late.define_property("balance", Value{std::int64_t{0}}, "int");
+  late.define_method(
+      MethodSignature{"deposit", {"int"}}, MethodKind::Mutator,
+      [](Entity& self, MethodContext&, const std::vector<Value>& args) {
+        self.set("balance",
+                 Value{as_int(self.get("balance")) + as_int(args.at(0))});
+        return Value{};
+      });
+  register_for_class(cluster_.constraints(),
+                     predicate_constraint(
+                         "LateDepositLimit", ConstraintType::Precondition,
+                         [](ConstraintValidationContext& ctx) {
+                           return as_int(ctx.arguments().at(0)) <= 10;
+                         },
+                         false),
+                     "LateAccount", "deposit", {"int"});
+
+  const ObjectId late_account = create("LateAccount");
+  EXPECT_NO_THROW(deposit(late_account, 10));
+  EXPECT_THROW(deposit(late_account, 500), ConstraintViolation);
+
+  late.set_super("Account");
+  EXPECT_EQ(cluster_.classes().ancestry("LateAccount"),
+            (std::vector<std::string>{"LateAccount", "Account"}));
+  // The base level admits what the subclass level refuses (OR).
+  EXPECT_NO_THROW(deposit(late_account, 500));
+  EXPECT_THROW(deposit(late_account, 2000), ConstraintViolation);
+
+  late.add_interface("Auditable");  // balance <= 5000, AND'd
+  for (int i = 0; i < 4; ++i) EXPECT_NO_THROW(deposit(late_account, 1000));
+  EXPECT_THROW(deposit(late_account, 1000), ConstraintViolation);
+}
+
 }  // namespace
 }  // namespace dedisys

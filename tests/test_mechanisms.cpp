@@ -13,6 +13,10 @@ struct MechanismCase {
   Mechanism* (*make)();
 };
 
+// Print a case by its name. Without this gtest prints the raw bytes of the
+// two pointers, so the listed test names would change with every build.
+void PrintTo(const MechanismCase& c, std::ostream* os) { *os << c.name; }
+
 Mechanism* make_aspect() { return new AspectStaticMechanism; }
 Mechanism* make_aop() { return new AopFrameworkMechanism; }
 Mechanism* make_proxy() { return new ReflectiveProxyMechanism; }

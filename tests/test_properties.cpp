@@ -259,7 +259,8 @@ TEST_P(ThreatStoreProperty, CountsConsistentUnderRandomOps) {
   std::map<std::string, std::size_t> model;  // identity -> occurrences
   for (int i = 0; i < 200; ++i) {
     ConsistencyThreat t;
-    t.constraint_name = "C" + std::to_string(rng.below(4));
+    t.constraint_name = "C";
+    t.constraint_name += std::to_string(rng.below(4));
     t.context_object = ObjectId{rng.below(3)};
     t.degree = SatisfactionDegree::PossiblySatisfied;
     if (rng.chance(0.75)) {

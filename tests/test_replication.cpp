@@ -306,5 +306,46 @@ TEST_F(ReconcileTest, RollbackSearchRestoresConsistentHistoricalState) {
   EXPECT_EQ(cluster_.threats().identity_count(), 0u);
 }
 
+// A degraded sell the ticket invariant refuses rolls back; the undo must
+// not drop the degraded-update mark of the sells committed before it in
+// the same partition, or reconciliation skips the flight and the
+// majority's replicas keep the pre-partition count.
+TEST(ReconcileAfterRefusal, RefusedDegradedSellKeepsEarlierMark) {
+  Cluster cluster = make_cluster(ReplicationProtocol::PrimaryPartition);
+  FlightBooking::define_classes(cluster.classes());
+  FlightBooking::register_constraints(cluster.constraints());
+  const ObjectId flight = FlightBooking::create_flight(cluster.node(0), 2);
+  cluster.inject(fault::split_indices({{0, 1}, {2}}));
+  FlightBooking::sell(cluster.node(2), flight, 1);
+  FlightBooking::sell(cluster.node(2), flight, 1);
+  EXPECT_THROW(FlightBooking::sell(cluster.node(2), flight, 1),
+               ConsistencyThreatRejected);
+  EXPECT_EQ(cluster.node(2).replication().degraded_updates().count(flight),
+            1u);
+  cluster.inject(fault::Heal{});
+  (void)cluster.reconcile();
+  for (std::size_t i = 0; i < cluster.size(); ++i) {
+    EXPECT_EQ(as_int(cluster.node(i)
+                         .replication()
+                         .local_replica(flight)
+                         .get("soldTickets")),
+              2)
+        << "node " << i;
+  }
+}
+
+// A refused first degraded update leaves no mark: its undo restores the
+// pre-partition state, so there is nothing to reconcile.
+TEST(ReconcileAfterRefusal, RefusedFirstDegradedSellLeavesNoMark) {
+  Cluster cluster = make_cluster(ReplicationProtocol::PrimaryPartition);
+  FlightBooking::define_classes(cluster.classes());
+  FlightBooking::register_constraints(cluster.constraints());
+  const ObjectId flight = FlightBooking::create_flight(cluster.node(0), 2);
+  cluster.inject(fault::split_indices({{0, 1}, {2}}));
+  EXPECT_THROW(FlightBooking::sell(cluster.node(2), flight, 3),
+               ConsistencyThreatRejected);
+  EXPECT_TRUE(cluster.node(2).replication().degraded_updates().empty());
+}
+
 }  // namespace
 }  // namespace dedisys

@@ -63,7 +63,8 @@ WorkloadOutcome run_workload(RuntimeBackend backend) {
     switch (rng.below(4)) {
       case 0:
         ok = EvalApp::run_op(invoker, target, "setValue",
-                             {Value{"v" + std::to_string(i)}});
+                             {Value{std::string("v").append(
+                                 std::to_string(i))}});
         break;
       case 1:
         ok = EvalApp::run_op(invoker, target, "emptySatisfied");
@@ -85,8 +86,11 @@ WorkloadOutcome run_workload(RuntimeBackend backend) {
     for (ObjectId id : ids) {
       if (!node.replication().has_local_replica(id)) continue;
       const Entity& e = node.replication().local_replica(id);
-      out.replicas[to_string(id) + "@" + std::to_string(n)] =
-          "v" + std::to_string(e.version()) + ":" + as_string(e.get("value"));
+      std::string state = "v";
+      state += std::to_string(e.version());
+      state += ':';
+      state += as_string(e.get("value"));
+      out.replicas[to_string(id) + "@" + std::to_string(n)] = state;
     }
   }
   out.threat_identities = cluster.threats().identity_count();
@@ -231,6 +235,73 @@ TEST(ThreadedCluster, ConcurrentClientsOnDisjointObjectsAllCommit) {
 
   for (const ObjectId flight : flights) {
     EXPECT_EQ(FlightBooking::sold(cluster.node(0), flight), kSellsPerClient);
+  }
+}
+
+// A constraint redeployed between two phases of concurrent clients is
+// seen by every client of the next phase: each kernel's lookups go
+// through the shared repository's query table, which the redeploy
+// invalidates.  Under the TSan gate this also checks that the table is
+// only touched inside the kernel lock.
+TEST(ThreadedCluster, RedeployBetweenClientPhasesIsSeenByBothPhases) {
+  ClusterConfig cfg;
+  cfg.nodes = 3;
+  cfg.backend = RuntimeBackend::Threaded;
+  Cluster cluster(cfg);
+  FlightBooking::define_classes(cluster.classes());
+  FlightBooking::register_constraints(cluster.constraints());
+
+  std::vector<ObjectId> flights;
+  for (int i = 0; i < 3; ++i) {
+    flights.push_back(FlightBooking::create_flight(cluster.node(0), 1000));
+  }
+
+  // Each client sells 3 tickets per call; returns how many calls the
+  // middleware refused.
+  constexpr int kCallsPerClient = 10;
+  auto run_phase = [&] {
+    std::vector<int> refused(flights.size(), 0);
+    std::vector<std::thread> clients;
+    for (std::size_t c = 0; c < flights.size(); ++c) {
+      clients.emplace_back([&, c] {
+        for (int i = 0; i < kCallsPerClient; ++i) {
+          try {
+            FlightBooking::sell(cluster.node(c), flights[c], 3);
+          } catch (const ConstraintViolation&) {
+            ++refused[c];
+          }
+        }
+      });
+    }
+    for (auto& t : clients) t.join();
+    return refused;
+  };
+
+  const std::vector<int> none(flights.size(), 0);
+  const std::vector<int> all(flights.size(), kCallsPerClient);
+  EXPECT_EQ(run_phase(), none);
+
+  ConstraintRegistration reg;
+  auto limit = std::make_shared<FunctionConstraint>(
+      "SellAtMostTwo", ConstraintType::Precondition,
+      ConstraintPriority::NonTradeable,
+      [](ConstraintValidationContext& ctx) {
+        return as_int(ctx.arguments().at(0)) <= 2;
+      });
+  limit->set_context_object_needed(false);
+  reg.constraint = limit;
+  reg.affected_methods.push_back(AffectedMethod{
+      "Flight", MethodSignature{"sellTickets", {"int"}},
+      ContextPreparation{ContextPreparationKind::CalledObject, ""}});
+  cluster.constraints().register_constraint(std::move(reg));
+  EXPECT_EQ(run_phase(), all);
+
+  cluster.constraints().remove("SellAtMostTwo");
+  EXPECT_EQ(run_phase(), none);
+
+  for (const ObjectId flight : flights) {
+    EXPECT_EQ(FlightBooking::sold(cluster.node(0), flight),
+              2 * 3 * kCallsPerClient);
   }
 }
 

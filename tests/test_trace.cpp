@@ -20,7 +20,9 @@
 #include "obs/trace.h"
 #include "scenarios/chaos.h"
 #include "scenarios/evalapp.h"
+#include "scenarios/flight.h"
 #include "sim/fault_engine.h"
+#include "util/rng.h"
 #include "sim/fault_plan.h"
 #include "web/metrics_servlet.h"
 
@@ -34,6 +36,7 @@ using obs::TraceEventKind;
 using obs::TraceRecorder;
 using scenarios::AcceptAllNegotiation;
 using scenarios::EvalApp;
+using scenarios::FlightBooking;
 
 // ---------------------------------------------------------------------------
 // Latency histogram
@@ -878,6 +881,81 @@ TEST(TraceDisabled, TracingDoesNotChangeSimulatedTime) {
   };
   // Deterministic simulation: recording costs zero simulated time.
   EXPECT_EQ(run(false), run(true));
+}
+
+// The invocation path builds span and event names only while tracing is
+// on.  A seeded booking mix (healthy calls, refused and accepted degraded
+// sells, heal, reconcile) must leave the same simulated clock, the same
+// outcome of every call and the same replica states with tracing on and
+// off.
+TEST(TraceDisabled, TracingDoesNotChangeOutcomesOfSeededBookingRun) {
+  const auto run = [](bool observability) {
+    ClusterConfig cfg;
+    cfg.nodes = 3;
+    cfg.flags.observability = observability;
+    Cluster cluster(cfg);
+    FlightBooking::define_classes(cluster.classes());
+    FlightBooking::register_constraints(cluster.constraints());
+    FlightBooking::register_method_contracts(cluster.constraints());
+    std::vector<ObjectId> flights;
+    for (int i = 0; i < 4; ++i) {
+      flights.push_back(FlightBooking::create_flight(
+          cluster.node(static_cast<std::size_t>(i) % 3), 6));
+    }
+    std::vector<std::string> log;
+    Rng rng(77);
+    const auto phase = [&](int calls) {
+      for (int i = 0; i < calls; ++i) {
+        DedisysNode& node = cluster.node(rng.below(3));
+        const ObjectId flight = flights[rng.below(flights.size())];
+        std::string row = to_string(flight);
+        try {
+          if (rng.below(3) == 0) {
+            row += " sold=";
+            row += std::to_string(FlightBooking::sold(node, flight));
+          } else {
+            FlightBooking::sell(node, flight, rng.between(1, 2));
+            row += " sell ok";
+          }
+        } catch (const DedisysError& e) {
+          row += " refused: ";
+          row += e.what();
+        }
+        row += " @";
+        row += std::to_string(cluster.sim().clock.now());
+        log.push_back(row);
+      }
+    };
+    phase(20);
+    cluster.inject(fault::split_indices({{0, 1}, {2}}));
+    phase(30);
+    cluster.inject(fault::Heal{});
+    const auto report = cluster.reconcile();
+    log.push_back("reconciled " +
+                  std::to_string(report.constraints.reevaluated));
+    for (std::size_t n = 0; n < cluster.size(); ++n) {
+      for (ObjectId flight : flights) {
+        log.push_back(to_string(flight) + "@" + std::to_string(n) + " " +
+                      std::to_string(as_int(cluster.node(n)
+                                                .replication()
+                                                .local_replica(flight)
+                                                .get("soldTickets"))));
+      }
+    }
+    log.push_back("clock " + std::to_string(cluster.sim().clock.now()));
+    return log;
+  };
+  const std::vector<std::string> untraced = run(false);
+  EXPECT_EQ(untraced, run(true));
+  // The mix really reached both verdicts.
+  EXPECT_TRUE(std::any_of(untraced.begin(), untraced.end(),
+                          [](const std::string& r) {
+                            return r.find("refused") != std::string::npos;
+                          }));
+  EXPECT_TRUE(std::any_of(untraced.begin(), untraced.end(),
+                          [](const std::string& r) {
+                            return r.find("sell ok") != std::string::npos;
+                          }));
 }
 
 }  // namespace
