@@ -14,8 +14,9 @@
 // Modes:
 //   default     run the property suite; exit 1 on any surviving violation
 //   --selftest  shrinker self-checks: a synthetic predicate must minimize
-//               to exactly the culprit action, and the known legacy-views
-//               split-brain plan must shrink to <= 3 ops
+//               to exactly the culprit action, and a real-run predicate
+//               (node 1 installs an incomplete view) must shrink to <= 3
+//               ops
 //   --corpus D  replay every *.plan file in D through the checker
 //   --timeline  print the trace timeline of one gray run (determinism
 //               diffing in check.sh --gray)
@@ -23,6 +24,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <sstream>
 #include <string>
 
 #include "scenarios/invariants.h"
@@ -86,59 +88,61 @@ int selftest_synthetic() {
   return 0;
 }
 
-/// End-to-end shrink of a real violation: with legacy unidirectional
-/// views, a one-way cut 1>0 makes node 1 drop node 0 from its view and
-/// elect itself primary while nodes 0 and 2 stick with the designated
-/// primary — split brain inside one strongly-connected component.  Buried
-/// in a noisy plan, the shrinker must reduce it to <= 3 ops.
-int selftest_known_violation(const scenarios::ChaosOptions& base) {
-  scenarios::ChaosOptions chaos = base;
-  chaos.flags.legacy_unidirectional_views = true;
-
+/// End-to-end shrink with a real-run predicate: a partition isolating
+/// node 1, buried in a noisy gray plan, makes node 1 install an incomplete
+/// view.  The shrinker must reduce the plan to <= 3 ops, and the shrunk
+/// plan — closed by a heal, since ddmin drops the trailing one — must
+/// still hold every property.
+int selftest_real_run(const scenarios::ChaosOptions& base) {
   RandomPlanOptions plan_options;
-  for (std::size_t n = 0; n < chaos.nodes; ++n) {
+  for (std::size_t n = 0; n < base.nodes; ++n) {
     plan_options.nodes.push_back(NodeId{n});
   }
-  plan_options.horizon = chaos.horizon;
+  plan_options.horizon = base.horizon;
   plan_options.events = 6;
   FaultPlan plan = dedisys::random_gray_plan(4242, plan_options);
   plan.add(dedisys::sim_us(10),
-           fault::AsymPartition{{{NodeId{1}, NodeId{0}}}});
+           fault::Partition{{{NodeId{0}, NodeId{2}}, {NodeId{1}}}});
   plan.sort();
 
-  const auto splits_brain = [&](const FaultPlan& candidate) {
-    return scenarios::check_plan(candidate, chaos).result.primary_violations >
-           0;
+  const auto node1_view_incomplete = [&](const FaultPlan& candidate) {
+    scenarios::ChaosOptions run = base;
+    run.plan = candidate;
+    std::istringstream timeline(scenarios::run_chaos(run).timeline);
+    for (std::string line; std::getline(timeline, line);) {
+      if (line.find("node 1  view.change") != std::string::npos &&
+          line.find("complete=false") != std::string::npos) {
+        return true;
+      }
+    }
+    return false;
   };
-  if (!splits_brain(plan)) {
-    std::cerr << "selftest: seeded legacy-views plan does not split brain\n";
+  if (!node1_view_incomplete(plan)) {
+    std::cerr << "selftest: seeded plan leaves node 1's view complete\n";
     return 1;
   }
   const scenarios::ShrinkResult shrunk =
-      scenarios::shrink_plan(plan, splits_brain, 120);
+      scenarios::shrink_plan(plan, node1_view_incomplete, 120);
   if (shrunk.plan.size() > 3) {
-    std::cerr << "selftest: known violation shrunk to " << shrunk.plan.size()
+    std::cerr << "selftest: real-run predicate shrunk to " << shrunk.plan.size()
               << " ops (want <= 3)\n"
               << dedisys::plan_to_text(shrunk.plan);
     return 1;
   }
-  std::cerr << "selftest: known split-brain violation shrunk to "
-            << shrunk.plan.size() << " op(s) in " << shrunk.runs << " runs\n"
+  std::cerr << "selftest: real-run predicate shrunk to " << shrunk.plan.size()
+            << " op(s) in " << shrunk.runs << " runs\n"
             << dedisys::plan_to_text(shrunk.plan);
 
-  // The fix: with bidirectional views the same fault — followed by repair,
-  // since the shrinker drops the closing heal — holds every invariant.
-  scenarios::ChaosOptions fixed = base;
   FaultPlan closed = shrunk.plan;
-  closed.add(fixed.horizon + 1, fault::Heal{});
+  closed.add(base.horizon + 1, fault::Heal{});
   closed.sort();
-  const scenarios::PlanVerdict verdict = scenarios::check_plan(closed, fixed);
+  const scenarios::PlanVerdict verdict = scenarios::check_plan(closed, base);
   if (!verdict.ok()) {
-    std::cerr << "selftest: fixed views still violate: " << verdict.violation
+    std::cerr << "selftest: shrunk plan violates: " << verdict.violation
               << "\n";
     return 1;
   }
-  std::cerr << "selftest: bidirectional views pass the shrunk plan\n";
+  std::cerr << "selftest: shrunk plan holds every property\n";
   return 0;
 }
 
@@ -185,7 +189,7 @@ int main(int argc, char** argv) {
   if (selftest) {
     const int synthetic = selftest_synthetic();
     if (synthetic != 0) return synthetic;
-    return selftest_known_violation(options.chaos);
+    return selftest_real_run(options.chaos);
   }
 
   if (print_timeline) {

@@ -27,15 +27,18 @@
 #                                    (memo-on outcomes must equal memo-off,
 #                                    with cache hits and lower cost)
 #   scripts/check.sh --gray          gray-failure gate only: shrinker
-#                                    self-test, 20 random gray plans
+#                                    self-test (synthetic and real-run
+#                                    predicates), 20 random gray plans
 #                                    through the invariant harness, a
 #                                    byte-identical gray timeline pair and
 #                                    the committed regression corpus
 #   scripts/check.sh --trace         trace gate only: dedisys_trace
-#                                    self-test, the trace-driven invariant
-#                                    checker cross-checked against the
-#                                    chaos harness on 5 seeded gray plans
-#                                    plus the regression corpus, and an
+#                                    self-test, the committed split-brain
+#                                    trace fixture flagged by --check, the
+#                                    trace-driven invariant checker
+#                                    cross-checked against the chaos
+#                                    harness on 5 seeded gray plans plus
+#                                    the regression corpus, and an
 #                                    exported metrics document validated
 #                                    end to end (json_validate --metrics,
 #                                    --tree/--top/--check over the file)
@@ -103,11 +106,11 @@ chaos_smoke() {
   rm -f "$a" "$b"
 }
 
-# Gray-failure gate: the shrinker must minimize a synthetic plan and the
-# known legacy-views split-brain plan (<= 3 ops), 20 random gray plans
-# must hold every invariant (plus determinism and memo equivalence), two
-# runs of one gray seed must emit byte-identical timelines, and the
-# committed regression corpus must replay clean.
+# Gray-failure gate: the shrinker must minimize a synthetic plan and a
+# real-run predicate planted in a noisy plan (<= 3 ops), 20 random gray
+# plans must hold every invariant (plus determinism and memo
+# equivalence), two runs of one gray seed must emit byte-identical
+# timelines, and the committed regression corpus must replay clean.
 gray_smoke() {
   local gray="$1/bench/bench_gray_chaos"
   "$gray" --selftest 2> /dev/null \
@@ -134,17 +137,26 @@ gray_smoke() {
 }
 
 # Trace gate: the span analyzer / trace-driven invariant checker must pass
-# its synthetic self-test (including the legacy split-brain end-to-end
-# pin), agree with the chaos harness's state-based ground truth on 5
-# seeded gray plans and on every committed regression plan, and a real
-# metrics export must survive the whole offline pipeline: JSON shape
-# validation plus the tree/top/check file modes.
+# its self-test, flag the committed real split-brain run
+# (tests/trace_fixtures/legacy_split_brain.json, exit 1), agree with the
+# chaos harness's state-based ground truth on 5 seeded gray plans and on
+# every committed regression plan, and a real metrics export must survive
+# the whole offline pipeline: JSON shape validation plus the
+# tree/top/check file modes.
 trace_smoke() {
   local trace="$1/tools/dedisys_trace"
   local validate="$1/bench/json_validate"
   "$trace" --selftest 2> /dev/null \
     || { echo "check.sh: dedisys_trace self-test failed" >&2; exit 1; }
   echo "trace gate: analyzer/checker self-test ok"
+  local status=0
+  "$trace" --check tests/trace_fixtures/legacy_split_brain.json > /dev/null \
+    || status=$?
+  if [ "$status" -ne 1 ]; then
+    echo "check.sh: split-brain fixture not flagged (exit $status, want 1)" >&2
+    exit 1
+  fi
+  echo "trace gate: split-brain fixture flagged"
   "$trace" --cross-check 5 --seed 1 \
     || { echo "check.sh: trace/chaos cross-check failed" >&2; exit 1; }
   echo "trace gate: 5 seeded gray plans cross-checked ok"

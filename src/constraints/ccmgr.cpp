@@ -754,29 +754,7 @@ ConstraintConsistencyManager::reconcile(ConstraintReconciliationHandler* handler
   // with the same key, within this pass and across repeated reconciliation
   // rounds over postponed threats.  With the memo off, every threat is
   // re-evaluated exactly as before, in the same order.
-  //
-  // Interference-aware scheduling (PR 8, opt-in): with a ConfigAnalysis
-  // attached, the batch is reordered by interference-graph cluster so
-  // constraints sharing read-set attributes evaluate adjacently.  The
-  // sort is stable over the legacy identity order, so the set of
-  // evaluations and every per-threat outcome is unchanged — only
-  // adjacency moves.
   std::vector<StoredThreat> batch = threats_.load_all();
-  const analysis::ConfigAnalysis* schedule =
-      scheduling_ ? repository_.config_analysis() : nullptr;
-  if (schedule != nullptr) {
-    auto cluster_key = [&](const StoredThreat& st) -> const std::string& {
-      auto it = schedule->cluster_of.find(st.threat.constraint_name);
-      return it == schedule->cluster_of.end() ? st.threat.constraint_name
-                                              : it->second;
-    };
-    std::stable_sort(batch.begin(), batch.end(),
-                     [&](const StoredThreat& a, const StoredThreat& b) {
-                       return cluster_key(a) < cluster_key(b);
-                     });
-    out.scheduled = batch.size();
-    stats_.reconcile_scheduled += batch.size();
-  }
   for (StoredThreat& st : batch) {
     ConsistencyThreat& threat = st.threat;
     ++out.reevaluated;

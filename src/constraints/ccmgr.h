@@ -69,11 +69,6 @@ struct CcmgrWiring {
   /// Off by default: memo-off runs are byte-identical to an un-memoized
   /// build.
   bool memo = false;
-  /// Interference-aware evaluation scheduling (PR 8): reconciliation
-  /// batches are ordered by interference-graph cluster so constraints
-  /// sharing read-sets evaluate adjacently.  Off by default — the legacy
-  /// `<constraint>@<object>` identity order is then used unchanged.
-  bool scheduler = false;
 };
 
 /// Application callback invoked for violated constraints detected during
@@ -116,7 +111,6 @@ class ConstraintConsistencyManager final : public TransactionalResource {
     obs_ = wiring.obs;
     object_query_ = std::move(wiring.object_query);
     memo_enabled_ = wiring.memo;
-    scheduling_ = wiring.scheduler;
   }
 
   /// When a threat is negotiated (Section 5.4): immediately when it
@@ -145,15 +139,6 @@ class ConstraintConsistencyManager final : public TransactionalResource {
   /// without analysis, validation is exhaustive as before.
   void set_pruning(bool on) { pruning_ = on; }
   [[nodiscard]] bool pruning() const { return pruning_; }
-
-  /// Interference-aware evaluation scheduling (PR 8): when on and the
-  /// repository carries a ConfigAnalysis, reconciliation orders its
-  /// threat batch by interference-graph cluster (constraints sharing
-  /// read-set attributes evaluate adjacently, improving memo locality).
-  /// The set of evaluations and their outcomes is unchanged — only the
-  /// order within the batch moves.
-  void set_scheduling(bool on) { scheduling_ = on; }
-  [[nodiscard]] bool scheduling() const { return scheduling_; }
 
   /// Version-stamped validation memoization (this PR): definite outcomes
   /// of analyzable constraints are cached keyed by (constraint, context
@@ -216,9 +201,6 @@ class ConstraintConsistencyManager final : public TransactionalResource {
     /// Batched revalidation (memo on): threats whose (constraint,
     /// fingerprint) was already evaluated and took the cached result.
     std::size_t batched = 0;
-    /// Threats re-evaluated under interference-cluster ordering
-    /// (scheduler on and a ConfigAnalysis attached to the repository).
-    std::size_t scheduled = 0;
   };
 
   /// Attempts rollback-based resolution of a violated threat; provided by
@@ -256,8 +238,6 @@ class ConstraintConsistencyManager final : public TransactionalResource {
     /// Invariant evaluations avoided because the abstract interpreter
     /// proved the constraint a tautology (PR 8).
     std::size_t evaluations_proven = 0;
-    /// Cumulative ReconcileStats::scheduled across reconcile() calls.
-    std::size_t reconcile_scheduled = 0;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
@@ -393,7 +373,6 @@ class ConstraintConsistencyManager final : public TransactionalResource {
   bool degraded_ = false;
   double partition_weight_ = 1.0;
   bool pruning_ = true;
-  bool scheduling_ = false;
   bool in_validation_ = false;
   bool memo_enabled_ = false;
   validation::ValidationMemo memo_;

@@ -136,8 +136,7 @@ class ConstraintRepository {
 
   /// Attaches the whole-configuration analysis (conflicts, subsumption,
   /// interference clustering — PR 8).  Reset to null whenever the
-  /// deployed set changes; the CCMgr's scheduler falls back to the legacy
-  /// evaluation order until the analyzer runs again.
+  /// deployed set changes, until the analyzer runs again.
   void set_config_analysis(
       std::shared_ptr<const analysis::ConfigAnalysis> config) {
     config_ = std::move(config);

@@ -111,11 +111,7 @@ void Cluster::inject(const fault::Op& op) {
             network_->apply(o);
           }
         } else if constexpr (std::is_same_v<T, fault::Restart>) {
-          if (DedisysNode* n = node_by_id(o.node)) {
-            do_restart(*n);
-          } else {
-            network_->apply(o);
-          }
+          inject(o);
         } else {
           // Link faults and gray ops act on the network substrate alone.
           network_->apply(o);
@@ -128,18 +124,6 @@ std::size_t Cluster::inject(const fault::Restart& op) {
   if (DedisysNode* n = node_by_id(op.node)) return do_restart(*n);
   network_->apply(op);
   return 0;
-}
-
-void Cluster::split(const std::vector<std::vector<std::size_t>>& groups) {
-  std::vector<std::vector<NodeId>> node_groups;
-  node_groups.reserve(groups.size());
-  for (const auto& g : groups) {
-    std::vector<NodeId> ids;
-    ids.reserve(g.size());
-    for (std::size_t idx : g) ids.push_back(node(idx).id());
-    node_groups.push_back(std::move(ids));
-  }
-  split_ids(std::move(node_groups));
 }
 
 void Cluster::split_ids(std::vector<std::vector<NodeId>> node_groups) {
@@ -168,19 +152,11 @@ void Cluster::do_heal() {
   network_->apply(fault::Heal{});
 }
 
-void Cluster::heal() { do_heal(); }
-
 void Cluster::do_crash(DedisysNode& n) {
   // The pause-crash wipes the node's volatile state (in-memory replicas);
   // the durable record store survives for restart recovery.
   n.replication().drop_volatile();
   network_->apply(fault::Crash{n.id()});
-}
-
-void Cluster::crash_node(std::size_t index) { do_crash(node(index)); }
-
-std::size_t Cluster::restart_node(std::size_t index) {
-  return do_restart(node(index));
 }
 
 std::size_t Cluster::do_restart(DedisysNode& n) {
@@ -248,25 +224,14 @@ std::size_t Cluster::do_restart(DedisysNode& n) {
 
 void Cluster::adopt_fault_engine(FaultEngine& engine) {
   engine.set_observability(&obs_);
-  engine.set_crash_handler([this](NodeId id) {
-    if (DedisysNode* n = node_by_id(id)) {
-      do_crash(*n);
-    } else {
-      network_->apply(fault::Crash{id});
-    }
-  });
-  engine.set_restart_handler([this](NodeId id) {
-    if (DedisysNode* n = node_by_id(id)) {
-      do_restart(*n);
-    } else {
-      network_->apply(fault::Restart{id});
-    }
-  });
+  engine.set_crash_handler([this](NodeId id) { inject(fault::Crash{id}); });
+  engine.set_restart_handler(
+      [this](NodeId id) { inject(fault::Restart{id}); });
   engine.set_partition_handler(
       [this](const std::vector<std::vector<NodeId>>& groups) {
-        split_ids(groups);
+        inject(fault::Partition{groups});
       });
-  engine.set_heal_handler([this] { do_heal(); });
+  engine.set_heal_handler([this] { inject(fault::Heal{}); });
 }
 
 Cluster::ReconciliationReport Cluster::reconcile(

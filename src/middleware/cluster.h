@@ -69,10 +69,10 @@ struct ClusterConfig {
 };
 
 /// Narrow view of the deterministic-simulation substrate, for fault
-/// injection and chaos/script drivers.  Replaces the deprecated
-/// Cluster::clock()/network()/events() accessors so the public cluster
-/// surface no longer leaks backend internals; meaningless on the threaded
-/// backend (see docs/fault_injection.md).
+/// injection and chaos/script drivers — the only way to reach the sim
+/// clock, network and event queue, so the rest of the public cluster
+/// surface stays backend-neutral; meaningless on the threaded backend
+/// (see docs/fault_injection.md).
 struct SimHandles {
   SimClock& clock;
   SimNetwork& network;
@@ -98,12 +98,6 @@ class Cluster {
   /// (meaningless on the threaded backend; the FaultEngine and the chaos
   /// and scripted scenarios are sim-pinned, see docs/fault_injection.md).
   SimHandles sim() { return SimHandles{clock_, *network_, *events_}; }
-
-  [[deprecated("use sim().clock")]] SimClock& clock() { return clock_; }
-  [[deprecated("use sim().network")]] SimNetwork& network() {
-    return *network_;
-  }
-  [[deprecated("use sim().events")]] EventQueue& events() { return *events_; }
 
   /// Cluster-wide distributed transaction manager.
   TransactionManager& tx() { return *tm_; }
@@ -170,25 +164,9 @@ class Cluster {
   /// Restart overload: returns the number of replicas rebuilt.
   std::size_t inject(const fault::Restart& op);
 
-  /// Same as inject(fault::Partition), with node ids (fault-engine
-  /// partition actions route here so the groups are recorded for
-  /// reconciliation and traced).
-  void split_ids(std::vector<std::vector<NodeId>> node_groups);
-
-  [[deprecated("use inject(fault::split_indices({...}))")]] void split(
-      const std::vector<std::vector<std::size_t>>& groups);
-
-  [[deprecated("use inject(fault::Heal{})")]] void heal();
-
-  [[deprecated("use inject(fault::Crash{node(i).id()})")]] void crash_node(
-      std::size_t index);
-
-  [[deprecated("use inject(fault::Restart{node(i).id()})")]] std::size_t
-  restart_node(std::size_t index);
-
-  /// Wires a fault engine to this cluster: its crash/restart actions
-  /// route through crash_node/restart_node (index resolved from NodeId)
-  /// and its trace events land in this cluster's observability hub.
+  /// Wires a fault engine to this cluster: its crash, restart, partition
+  /// and heal actions route through inject(), and its trace events land in
+  /// this cluster's observability hub.
   void adopt_fault_engine(FaultEngine& engine);
 
   // -- reconciliation (Section 4.4) -------------------------------------------------
@@ -210,8 +188,9 @@ class Cluster {
       std::size_t coordinator = 0);
 
  private:
-  /// Typed-op implementations shared by inject(), the deprecated wrappers
-  /// and the fault-engine handlers.
+  /// Typed-op implementations behind inject().  A partition records its
+  /// groups for reconciliation and traces the split.
+  void split_ids(std::vector<std::vector<NodeId>> node_groups);
   void do_heal();
   void do_crash(DedisysNode& n);
   std::size_t do_restart(DedisysNode& n);

@@ -27,7 +27,6 @@ struct NodeMetrics {
   std::size_t validations = 0;
   std::size_t evaluations_skipped = 0;
   std::size_t evaluations_proven = 0;
-  std::size_t reconcile_scheduled = 0;
   std::size_t threats_detected = 0;
   std::size_t threats_accepted = 0;
   std::size_t threats_rejected = 0;
@@ -121,7 +120,6 @@ inline ClusterMetrics collect_metrics(Cluster& cluster) {
     m.validations = node.ccmgr().stats().validations;
     m.evaluations_skipped = node.ccmgr().stats().evaluations_skipped;
     m.evaluations_proven = node.ccmgr().stats().evaluations_proven;
-    m.reconcile_scheduled = node.ccmgr().stats().reconcile_scheduled;
     m.threats_detected = node.ccmgr().stats().threats_detected;
     m.threats_accepted = node.ccmgr().stats().threats_accepted;
     m.threats_rejected = node.ccmgr().stats().threats_rejected;

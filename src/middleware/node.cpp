@@ -112,8 +112,8 @@ DedisysNode::DedisysNode(Cluster& cluster, NodeId id,
   db_ = std::make_unique<RecordStore>(rt);
   history_ = std::make_unique<ReplicaHistoryStore>(rt);
   tm_ = &cluster.tx();
-  gms_ = std::make_unique<GroupMembershipService>(
-      rt, id, cluster.weights_ptr(), options.flags.legacy_unidirectional_views);
+  gms_ = std::make_unique<GroupMembershipService>(rt, id,
+                                                  cluster.weights_ptr());
   gms_->set_observability(obs_);
   gms_->subscribe(this);
   repl_ = std::make_unique<ReplicationManager>(
@@ -131,7 +131,6 @@ DedisysNode::DedisysNode(Cluster& cluster, NodeId id,
   wiring.default_min = options.default_min_degree;
   wiring.obs = obs_;
   wiring.memo = options.flags.validation_memo;
-  wiring.scheduler = options.flags.validation_scheduler;
   if (options.with_replication) {
     ReplicationManager* repl = repl_.get();
     wiring.threat_replicator =

@@ -75,8 +75,7 @@ struct NodeOptions {
   ReconciliationBusinessPolicy reconciliation_policy =
       ReconciliationBusinessPolicy::Proceed;
   /// Feature toggles shared with ClusterConfig and ChaosOptions (see
-  /// runtime/options.h).  The node consumes validation_memo,
-  /// validation_scheduler and legacy_unidirectional_views; the
+  /// runtime/options.h).  The node consumes validation_memo; the
   /// observability pair is cluster-level.
   FeatureFlags flags;
 };

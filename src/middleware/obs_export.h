@@ -117,7 +117,6 @@ namespace dedisys::obs {
     node.set("validations", n.validations);
     node.set("evaluations_skipped", n.evaluations_skipped);
     node.set("evaluations_proven", n.evaluations_proven);
-    node.set("reconcile_scheduled", n.reconcile_scheduled);
     node.set("threats_detected", n.threats_detected);
     node.set("threats_accepted", n.threats_accepted);
     node.set("threats_rejected", n.threats_rejected);

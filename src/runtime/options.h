@@ -1,12 +1,9 @@
 // Cluster-wide feature flags and the execution-backend selector.
 //
-// Before this header existed, the same toggles (`validation_memo`,
-// `validation_scheduler`, `legacy_unidirectional_views`, the observability
-// pair) were declared three times — on ClusterConfig, NodeOptions and
-// ChaosOptions — and hand-copied between them at every construction site.
-// FeatureFlags is the single value type all three embed; copying the whole
-// struct is the only propagation step left, so a flag added here reaches
-// every layer without further plumbing.
+// FeatureFlags is the one value type that ClusterConfig, NodeOptions and
+// ChaosOptions embed (`validation_memo` and the observability pair);
+// copying the whole struct is the only propagation step, so a flag added
+// here reaches every layer without further plumbing.
 #pragma once
 
 #include <cstddef>
@@ -38,23 +35,6 @@ struct FeatureFlags {
   /// outcomes keyed by the read-set entities' write stamps.  Off by
   /// default — memo-off runs are byte-identical to builds without it.
   bool validation_memo = false;
-  /// Interference-aware validation scheduling (PR 8): reconciliation
-  /// batches are ordered by the interference-graph clusters of the
-  /// repository's ConfigAnalysis.  Off by default — the legacy
-  /// `<constraint>@<object>` identity order is then byte-identical.
-  bool validation_scheduler = false;
-  /// Pre-gray-failure GMS behavior: derive views from outbound
-  /// reachability alone.  Under a one-way link cut this elects two
-  /// primaries inside one strongly-connected component; only tests
-  /// pinning that regression should set it.
-  bool legacy_unidirectional_views = false;
-};
-
-/// Backend selection plus the flags — the value type a host embeds when it
-/// wants to configure a Runtime wholesale.
-struct RuntimeOptions {
-  RuntimeBackend backend = RuntimeBackend::Sim;
-  FeatureFlags flags;
 };
 
 }  // namespace dedisys

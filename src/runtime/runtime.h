@@ -112,11 +112,6 @@ class Runtime : public TimeSource {
   /// included — the basis for view formation and primary election.
   [[nodiscard]] virtual std::vector<NodeId> membership_set(NodeId from) const = 0;
 
-  /// The pre-gray-failure membership basis: outbound reachability alone.
-  /// Kept only for the legacy_unidirectional_views regression pin.
-  [[nodiscard]] virtual std::vector<NodeId> legacy_membership_set(
-      NodeId from) const = 0;
-
   /// Draws the fate of one message on the directed link `from -> to`.
   virtual Delivery delivery_verdict(NodeId from, NodeId to) = 0;
 

@@ -99,10 +99,6 @@ class SimRuntime final : public Runtime {
   [[nodiscard]] std::vector<NodeId> membership_set(NodeId from) const override {
     return net_->mutually_reachable_set(from);
   }
-  [[nodiscard]] std::vector<NodeId> legacy_membership_set(
-      NodeId from) const override {
-    return net_->direct_reachable_set(from);
-  }
   Delivery delivery_verdict(NodeId from, NodeId to) override {
     return net_->delivery_verdict(from, to);
   }

@@ -99,10 +99,6 @@ class ThreadedRuntime final : public Runtime {
       NodeId /*from*/) const override {
     return nodes_;
   }
-  [[nodiscard]] std::vector<NodeId> legacy_membership_set(
-      NodeId /*from*/) const override {
-    return nodes_;
-  }
   Delivery delivery_verdict(NodeId /*from*/, NodeId /*to*/) override {
     return Delivery{};
   }

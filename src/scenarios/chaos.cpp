@@ -72,30 +72,32 @@ void check_primary_per_partition(Cluster& cluster, DedisysNode& invoker,
                                  ObjectId target, ChaosResult& result) {
   const std::vector<NodeId> part =
       cluster.sim().network.mutually_reachable_set(invoker.id());
-  std::optional<NodeId> primary;
+  std::vector<NodeId> elected;
   for (NodeId nid : part) {
     DedisysNode* peer = cluster.node_by_id(nid);
     if (peer == nullptr) continue;
-    NodeId elected;
     try {
-      elected = peer->replication().execution_node(target, /*is_write=*/true);
+      elected.push_back(
+          peer->replication().execution_node(target, /*is_write=*/true));
     } catch (const DedisysError&) {
-      continue;  // this node may not write (e.g. minority, primary-backup)
-    }
-    if (std::find(part.begin(), part.end(), elected) == part.end()) {
-      ++result.primary_violations;  // primary outside the partition
-      return;
-    }
-    if (!primary) {
-      primary = elected;
-    } else if (!(*primary == elected)) {
-      ++result.primary_violations;  // split-brain within one partition
-      return;
+      // this node may not write (e.g. minority, primary-backup)
     }
   }
+  if (violates_one_primary(part, elected)) ++result.primary_violations;
 }
 
 }  // namespace
+
+bool violates_one_primary(const std::vector<NodeId>& partition,
+                          const std::vector<NodeId>& elected) {
+  for (NodeId e : elected) {
+    if (std::find(partition.begin(), partition.end(), e) == partition.end()) {
+      return true;  // primary outside the partition
+    }
+    if (!(e == elected.front())) return true;  // split brain
+  }
+  return false;
+}
 
 ChaosResult run_chaos(const ChaosOptions& options) {
   ChaosResult result;
@@ -111,11 +113,6 @@ ChaosResult run_chaos(const ChaosOptions& options) {
 
   EvalApp::define_classes(cluster.classes());
   EvalApp::register_constraints(cluster.constraints());
-  if (options.flags.validation_scheduler) {
-    // The scheduler consults the repository's ConfigAnalysis; without it
-    // the batch order silently falls back to the legacy identity order.
-    analysis::analyze_repository(cluster.constraints(), &cluster.classes());
-  }
   // shards == 1 keeps the legacy full-replication create path so existing
   // seed-pinned timelines stay byte-identical; with more shards the
   // entities enter through the front door, confined to their shard.

@@ -16,10 +16,12 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "replication/protocol.h"
 #include "runtime/options.h"
 #include "sim/fault_plan.h"
+#include "util/ids.h"
 #include "util/sim_clock.h"
 
 namespace dedisys::scenarios {
@@ -43,11 +45,7 @@ struct ChaosOptions {
   /// Feature toggles forwarded to ClusterConfig verbatim.  Observability is
   /// forced on (the timeline is the determinism oracle) and the trace ring
   /// gets headroom for timeline comparisons.  `validation_memo` runs of the
-  /// same seed must match memo-off runs byte for byte (check.sh --memo);
-  /// `validation_scheduler` likewise (the chaos constraints are opaque, so
-  /// every interference cluster is a singleton and batch order is the
-  /// legacy identity order); `legacy_unidirectional_views` re-enables the
-  /// split-brain regression pin.
+  /// same seed must match memo-off runs byte for byte (check.sh --memo).
   FeatureFlags flags{.observability = true, .trace_capacity = 65536};
   /// Draw the fault plan from `random_gray_plan` instead of
   /// `random_fault_plan`: the op mix then includes asymmetric one-way
@@ -84,6 +82,13 @@ struct ChaosResult {
            model_mismatches == 0;
   }
 };
+
+/// The P4 check on one partition, judged from elections alone: `elected`
+/// holds the primary each member of `partition` that may write elects for
+/// one object.  True when a primary lies outside the partition or two
+/// members elect different primaries (split brain).
+[[nodiscard]] bool violates_one_primary(const std::vector<NodeId>& partition,
+                                        const std::vector<NodeId>& elected);
 
 /// Runs one seeded chaos soak; see the header comment for the invariants
 /// checked.  Deterministic: same options, same result (including the

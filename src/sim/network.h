@@ -13,8 +13,7 @@
 // Fault operations are typed values (`fault::Partition`, `fault::Crash`,
 // `fault::Restart`, `fault::Heal`, `fault::SetLinkFaults[On]`) applied via
 // `apply()`, which returns the previous `Topology` so callers can restore
-// it.  The legacy `partition()/heal()/crash()/recover()` methods remain as
-// thin shims over `apply()`.
+// it; there is no other fault-mutation entry point.
 #pragma once
 
 #include <algorithm>
@@ -198,7 +197,7 @@ class SimNetwork {
   }
 
   /// Brings a crashed node back; it rejoins its partition group.  State
-  /// recovery is the caller's concern (Cluster::restart_node wires it).
+  /// recovery is the caller's concern (Cluster::inject wires it).
   Topology apply(const fault::Restart& op) {
     Topology previous = topology();
     alive_.insert(op.node);
@@ -353,19 +352,6 @@ class SimNetwork {
     if (!is_alive(from)) return out;
     for (NodeId n : nodes_) {
       if (reachable(from, n)) out.push_back(n);
-    }
-    return out;
-  }
-
-  /// All alive nodes with an open *direct* link from `from` (plus itself):
-  /// the naive "who can I send to" set the pre-gray GMS derived views
-  /// from.  Under a one-way cut it elects split-brain primaries — kept
-  /// only for the legacy_unidirectional_views regression pin.
-  [[nodiscard]] std::vector<NodeId> direct_reachable_set(NodeId from) const {
-    std::vector<NodeId> out;
-    if (!is_alive(from)) return out;
-    for (NodeId n : nodes_) {
-      if (n == from || link_open(from, n)) out.push_back(n);
     }
     return out;
   }

@@ -813,7 +813,7 @@ TEST(ConfigAnalysisTest, DeployRejectsConflictingPairNamingBoth) {
   EXPECT_EQ(an.at("conflicts").size(), 0u);
 }
 
-// -- runtime wiring: proven tautologies and the reconciliation scheduler ----
+// -- runtime wiring: proven tautologies and the reconciliation order -------
 
 TEST(ConfigAnalysisTest, ProvenTautologySkipsValidationWithTrace) {
   ClusterConfig cfg;
@@ -889,8 +889,10 @@ void register_interfering_invariants(ConstraintRepository& repo) {
                                     {setter("Wide", "setF3")}));
 }
 
-std::vector<std::string> reconcile_order(bool scheduler,
-                                         std::size_t* scheduled) {
+/// Reconciliation re-evaluates stored threats in `<constraint>@<object>`
+/// identity order.  The attached ConfigAnalysis clusters a_pair with
+/// z_pair (they share f1), and the order must not follow it.
+TEST(ConfigAnalysisTest, ReconcileKeepsThreatIdentityOrder) {
   ClusterConfig cfg;
   cfg.nodes = 1;
   cfg.flags.observability = true;
@@ -900,7 +902,6 @@ std::vector<std::string> reconcile_order(bool scheduler,
   analysis::analyze_repository(cluster.constraints(), &cluster.classes());
 
   DedisysNode& node = cluster.node(0);
-  node.ccmgr().set_scheduling(scheduler);
   ObjectId id;
   {
     TxScope tx(node.tx());
@@ -919,28 +920,13 @@ std::vector<std::string> reconcile_order(bool scheduler,
   EXPECT_EQ(stats.reevaluated, 3u);
   EXPECT_EQ(stats.removed_satisfied, 3u);
   EXPECT_EQ(cluster.threats().identity_count(), 0u);
-  if (scheduled != nullptr) *scheduled = stats.scheduled;
 
   std::vector<std::string> order;
   for (const obs::TraceEvent& e : cluster.obs().trace().events_of(
            obs::TraceEventKind::ThreatReconciled)) {
     order.push_back(e.label);
   }
-  return order;
-}
-
-/// The interference-aware scheduler reorders the reconciliation batch by
-/// cluster (a_pair and z_pair share f1) without changing any outcome;
-/// with the scheduler off the legacy identity order is untouched.
-TEST(ConfigAnalysisTest, SchedulerGroupsInterferingThreats) {
-  std::size_t scheduled_on = 0;
-  std::size_t scheduled_off = 0;
-  const std::vector<std::string> on = reconcile_order(true, &scheduled_on);
-  const std::vector<std::string> off = reconcile_order(false, &scheduled_off);
-  EXPECT_EQ(on, (std::vector<std::string>{"a_pair", "z_pair", "m_solo"}));
-  EXPECT_EQ(off, (std::vector<std::string>{"a_pair", "m_solo", "z_pair"}));
-  EXPECT_EQ(scheduled_on, 3u);
-  EXPECT_EQ(scheduled_off, 0u);
+  EXPECT_EQ(order, (std::vector<std::string>{"a_pair", "m_solo", "z_pair"}));
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 // Gray failures end to end: asymmetric one-way cuts, flapping links,
 // slow-but-alive nodes and clock skew — op semantics at the network
-// layer, the GMS split-brain regression the bidirectional-view fix pins,
-// retry/backoff interplay in the GCS, and the property harness (random
-// plans, shrinking, corpus replay).
+// layer, one primary per partition under a one-way cut and the detector
+// that judges it, retry/backoff interplay in the GCS, and the property
+// harness (random plans, shrinking, corpus replay).
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <variant>
 #include <vector>
@@ -27,7 +28,6 @@ namespace {
 
 using scenarios::ChaosOptions;
 using scenarios::ChaosResult;
-using scenarios::check_plan;
 using scenarios::run_chaos;
 using scenarios::shrink_plan;
 
@@ -55,9 +55,6 @@ TEST_F(GrayNetworkTest, AsymCutRoutesAroundAndStaysMutual) {
   EXPECT_EQ(net_.rpc_cost(NodeId{0}, NodeId{1}), cost_.rpc_latency);
   // All three nodes remain one strongly-connected component.
   EXPECT_EQ(net_.mutually_reachable_set(NodeId{1}).size(), 3u);
-  // The naive direct view drops node 0 — the legacy split-brain seed.
-  const std::vector<NodeId> direct = net_.direct_reachable_set(NodeId{1});
-  EXPECT_EQ(direct.size(), 2u);
   EXPECT_FALSE(net_.fully_connected());
 
   net_.apply(fault::HealLinks{});
@@ -225,7 +222,7 @@ TEST(GrayPlanText, MalformedInputThrows) {
   EXPECT_NO_THROW(plan_from_text("seed 1\n# comment\n\nat 10 heal\n"));
 }
 
-// -- the GMS split-brain regression -----------------------------------------
+// -- one primary per partition ----------------------------------------------
 
 ChaosOptions small_chaos() {
   ChaosOptions options;
@@ -237,28 +234,28 @@ ChaosOptions small_chaos() {
   return options;
 }
 
-FaultPlan one_way_cut_plan(bool with_heal) {
-  FaultPlan plan;
-  plan.seed = 4242;
-  plan.add(sim_us(10), fault::AsymPartition{{{NodeId{1}, NodeId{0}}}});
-  if (with_heal) plan.add(sim_ms(200) + 1, fault::Heal{});
-  return plan;
-}
-
-TEST(GraySplitBrain, LegacyUnidirectionalViewsElectTwoPrimaries) {
-  ChaosOptions options = small_chaos();
-  options.flags.legacy_unidirectional_views = true;
-  options.plan = one_way_cut_plan(/*with_heal=*/true);
-  const ChaosResult result = run_chaos(options);
-  // Node 1 drops the designated primary's node from its view and elects
-  // itself, while nodes 0 and 2 keep the designated primary: two primaries
-  // inside one strongly-connected component.
-  EXPECT_GT(result.primary_violations, 0u);
+TEST(GraySplitBrain, DetectorFlagsSplitAndForeignPrimary) {
+  const std::vector<NodeId> part{NodeId{0}, NodeId{1}, NodeId{2}};
+  EXPECT_FALSE(scenarios::violates_one_primary(part, {}));
+  EXPECT_FALSE(scenarios::violates_one_primary(
+      part, {NodeId{0}, NodeId{0}, NodeId{0}}));
+  // Two members of one partition elect different primaries: split brain.
+  EXPECT_TRUE(scenarios::violates_one_primary(
+      part, {NodeId{0}, NodeId{1}, NodeId{0}}));
+  // A primary outside the partition, even when every member agrees.
+  EXPECT_TRUE(scenarios::violates_one_primary({NodeId{1}, NodeId{2}},
+                                              {NodeId{0}, NodeId{0}}));
 }
 
 TEST(GraySplitBrain, BidirectionalViewsKeepOnePrimary) {
+  // Cut 1 -> 0: node 1 still reaches node 0 via node 2, so every node
+  // must keep the designated primary.
   ChaosOptions options = small_chaos();
-  options.plan = one_way_cut_plan(/*with_heal=*/true);
+  FaultPlan plan;
+  plan.seed = 4242;
+  plan.add(sim_us(10), fault::AsymPartition{{{NodeId{1}, NodeId{0}}}});
+  plan.add(sim_ms(200) + 1, fault::Heal{});
+  options.plan = plan;
   const ChaosResult result = run_chaos(options);
   EXPECT_EQ(result.primary_violations, 0u);
   EXPECT_TRUE(result.invariants_ok());
@@ -388,32 +385,40 @@ TEST(GrayProperties, ShrinkerReducesToTheCulpritOp) {
   EXPECT_EQ(shrunk.removed, original - 1);
 }
 
-TEST(GrayProperties, ShrinkerMinimizesRealSplitBrainToThreeOpsOrFewer) {
-  // Same workload and noisy base plan as `bench_gray_chaos --selftest`:
-  // whether a given random prefix masks the one-way cut (e.g. by crashing
-  // the designated primary) depends on the exact schedule, so the pinned
-  // configuration is the one known to split the legacy views.
-  ChaosOptions legacy;
-  legacy.ops = 40;
-  legacy.fault_events = 10;
-  legacy.horizon = sim_ms(250);
-  legacy.flags.legacy_unidirectional_views = true;
+TEST(GrayProperties, ShrinkerMinimizesRealRunPredicateToThreeOpsOrFewer) {
+  // Same workload and noisy base plan as `bench_gray_chaos --selftest`,
+  // with a partition isolating node 1 planted in it.  The predicate is
+  // judged on a real chaos run: node 1 installs an incomplete view.
+  ChaosOptions options;
+  options.ops = 40;
+  options.fault_events = 10;
+  options.horizon = sim_ms(250);
   RandomPlanOptions plan_options;
   for (std::size_t n = 0; n < 3; ++n) plan_options.nodes.push_back(NodeId{n});
-  plan_options.horizon = legacy.horizon;
+  plan_options.horizon = options.horizon;
   plan_options.events = 6;
   FaultPlan plan = random_gray_plan(4242, plan_options);
-  plan.add(sim_us(10), fault::AsymPartition{{{NodeId{1}, NodeId{0}}}});
+  plan.add(sim_us(10), fault::Partition{{{NodeId{0}, NodeId{2}}, {NodeId{1}}}});
   plan.sort();
 
-  const auto splits_brain = [&](const FaultPlan& candidate) {
-    return check_plan(candidate, legacy).result.primary_violations > 0;
+  const auto node1_view_incomplete = [&](const FaultPlan& candidate) {
+    ChaosOptions run = options;
+    run.plan = candidate;
+    std::istringstream timeline(run_chaos(run).timeline);
+    for (std::string line; std::getline(timeline, line);) {
+      if (line.find("node 1  view.change") != std::string::npos &&
+          line.find("complete=false") != std::string::npos) {
+        return true;
+      }
+    }
+    return false;
   };
-  ASSERT_TRUE(splits_brain(plan));
-  const scenarios::ShrinkResult shrunk = shrink_plan(plan, splits_brain, 80);
+  ASSERT_TRUE(node1_view_incomplete(plan));
+  const scenarios::ShrinkResult shrunk =
+      shrink_plan(plan, node1_view_incomplete, 80);
   EXPECT_LE(shrunk.plan.actions.size(), 3u)
       << plan_to_text(shrunk.plan);
-  EXPECT_TRUE(splits_brain(shrunk.plan));
+  EXPECT_TRUE(node1_view_incomplete(shrunk.plan));
 }
 
 TEST(GrayProperties, CommittedCorpusStillPasses) {

@@ -5,9 +5,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -25,6 +27,10 @@
 #include "util/rng.h"
 #include "sim/fault_plan.h"
 #include "web/metrics_servlet.h"
+
+#ifndef TRACE_FIXTURE_DIR
+#define TRACE_FIXTURE_DIR "tests/trace_fixtures"
+#endif
 
 namespace dedisys {
 namespace {
@@ -437,6 +443,22 @@ TEST(TraceChecker, DroppedEventsMarkVerdictIncomplete) {
       make_event(10, TraceEventKind::Validation)};
   EXPECT_TRUE(obs::check_events(events, 0).complete);
   EXPECT_FALSE(obs::check_events(events, 5).complete);
+}
+
+/// A real split-brain run, exported before the outbound-only GMS was
+/// removed (recipe in docs/observability.md): the checker must derive the
+/// violation from the recorded events alone.
+TEST(TraceChecker, CommittedSplitBrainFixtureIsFlagged) {
+  std::ifstream in(TRACE_FIXTURE_DIR "/legacy_split_brain.json");
+  ASSERT_TRUE(in) << "fixture missing at " << TRACE_FIXTURE_DIR;
+  std::ostringstream text;
+  text << in.rdbuf();
+  const obs::TraceCheckResult check =
+      obs::check_events(obs::events_from_json(Json::parse(text.str())));
+  EXPECT_TRUE(std::any_of(check.violations.begin(), check.violations.end(),
+                          [](const obs::TraceCheckFinding& f) {
+                            return f.invariant == "one-primary-per-partition";
+                          }));
 }
 
 // ---------------------------------------------------------------------------
