@@ -35,12 +35,9 @@ Result run(dedisys::ReplicationProtocol protocol) {
 
   Result r;
   constexpr std::size_t kWrites = 200;
-  const SimTime start = cluster.sim().clock.now();
-  for (std::size_t i = 0; i < kWrites; ++i) {
+  r.healthy_writes = ops_per_sim_second(cluster, kWrites, [&](std::size_t) {
     FlightBooking::sell(n0, flight, 1);
-  }
-  r.healthy_writes = static_cast<double>(kWrites) * 1e6 /
-                     static_cast<double>(cluster.sim().clock.now() - start);
+  });
 
   cluster.inject(fault::split_indices({{0, 1}, {2}}));
   std::size_t maj_ok = 0;

@@ -73,17 +73,13 @@ double run_setter_workload(Cluster& cluster, std::vector<ObjectId>& ids) {
     ids.push_back(node.create(tx.id(), "Wide"));
     tx.commit();
   }
-  const SimTime start = cluster.sim().clock.now();
-  for (std::size_t i = 0; i < kOps; ++i) {
+  return bench::ops_per_sim_second(cluster, kOps, [&](std::size_t i) {
     TxScope tx(node.tx());
     node.invoke(tx.id(), ids[i % ids.size()],
                 "setF" + std::to_string(i % kFields),
                 {Value{static_cast<std::int64_t>(i)}});
     tx.commit();
-  }
-  const SimTime elapsed = cluster.sim().clock.now() - start;
-  if (elapsed <= 0) return 0;
-  return static_cast<double>(kOps) * 1e6 / static_cast<double>(elapsed);
+  });
 }
 
 /// Seeds one threat per invariant per entity and reconciles the batch.

@@ -81,9 +81,9 @@ struct WorkloadSpec {
 /// Runs `op` `count` times and returns operations per simulated second.
 inline double ops_per_sim_second(Cluster& cluster, std::size_t count,
                                  const std::function<void(std::size_t)>& op) {
-  const SimTime start = cluster.sim().clock.now();
+  const SimTime start = cluster.runtime().now();
   for (std::size_t i = 0; i < count; ++i) op(i);
-  const SimTime elapsed = cluster.sim().clock.now() - start;
+  const SimTime elapsed = cluster.runtime().now() - start;
   if (elapsed <= 0) return 0;
   return static_cast<double>(count) * 1e6 / static_cast<double>(elapsed);
 }
@@ -97,14 +97,11 @@ struct Workload {
   static double create(Cluster& c, std::size_t node, std::size_t n,
                        std::vector<ObjectId>& out) {
     DedisysNode& nd = c.node(node);
-    const SimTime start = c.sim().clock.now();
-    for (std::size_t i = 0; i < n; ++i) {
+    return ops_per_sim_second(c, n, [&](std::size_t) {
       TxScope tx(nd.tx());
       out.push_back(nd.create(tx.id(), "TestEntity"));
       tx.commit();
-    }
-    return static_cast<double>(n) * 1e6 /
-           static_cast<double>(c.sim().clock.now() - start);
+    });
   }
 
   /// Ops/s invoking `method` round-robin over `ids` (averaged over
@@ -115,8 +112,7 @@ struct Workload {
                        std::vector<Value> args = {},
                        NegotiationHandler* handler = nullptr) {
     DedisysNode& nd = c.node(node);
-    const SimTime start = c.sim().clock.now();
-    for (std::size_t i = 0; i < n; ++i) {
+    return ops_per_sim_second(c, n, [&](std::size_t i) {
       const ObjectId target = ids[i % ids.size()];
       try {
         TxScope tx(nd.tx());
@@ -130,23 +126,18 @@ struct Workload {
       } catch (const DedisysError&) {
         // violations/rejections still count as attempted operations
       }
-    }
-    return static_cast<double>(n) * 1e6 /
-           static_cast<double>(c.sim().clock.now() - start);
+    });
   }
 
   /// Ops/s deleting the given entities.
   static double destroy(Cluster& c, std::size_t node,
                         const std::vector<ObjectId>& ids) {
     DedisysNode& nd = c.node(node);
-    const SimTime start = c.sim().clock.now();
-    for (ObjectId id : ids) {
+    return ops_per_sim_second(c, ids.size(), [&](std::size_t i) {
       TxScope tx(nd.tx());
-      nd.destroy(tx.id(), id);
+      nd.destroy(tx.id(), ids[i]);
       tx.commit();
-    }
-    return static_cast<double>(ids.size()) * 1e6 /
-           static_cast<double>(c.sim().clock.now() - start);
+    });
   }
 };
 

@@ -65,7 +65,7 @@ double measure_memo_revalidation(bool memo_on) {
   ClusterConfig cfg;
   cfg.nodes = 1;
   cfg.with_replication = false;
-  cfg.flags.validation_memo = memo_on;
+  cfg.validation_memo = memo_on;
   Cluster cluster(cfg);
   AdminConsole admin(cluster);
   scenarios::FlightBooking::define_classes(cluster.classes());
@@ -76,12 +76,12 @@ double measure_memo_revalidation(bool memo_on) {
   for (std::size_t i = 0; i < 50; ++i) {
     flights.push_back(scenarios::FlightBooking::create_flight(node, 100));
   }
-  const SimTime start = cluster.sim().clock.now();
+  const SimTime start = cluster.runtime().now();
   constexpr std::size_t kSweeps = 20;
   for (std::size_t sweep = 0; sweep < kSweeps; ++sweep) {
     node.ccmgr().revalidate_for_objects("TicketConstraint", flights);
   }
-  const SimTime elapsed = cluster.sim().clock.now() - start;
+  const SimTime elapsed = cluster.runtime().now() - start;
   if (elapsed <= 0) return 0;
   return static_cast<double>(kSweeps * flights.size()) * 1e6 /
          static_cast<double>(elapsed);

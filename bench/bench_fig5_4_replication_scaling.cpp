@@ -13,15 +13,12 @@ namespace {
 /// Paper's theoretical ceiling: transaction + ping/pong multicast rounds.
 double multicast_tx_ceiling(Cluster& cluster, std::size_t n) {
   DedisysNode& node = cluster.node(0);
-  const auto members = cluster.sim().network.nodes();
-  const SimTime start = cluster.sim().clock.now();
-  for (std::size_t i = 0; i < n; ++i) {
+  const auto members = cluster.runtime().nodes();
+  return ops_per_sim_second(cluster, n, [&](std::size_t) {
     TxScope tx(node.tx());
     cluster.gc().multicast(node.id(), members, [](dedisys::NodeId) {});
     tx.commit();
-  }
-  return static_cast<double>(n) * 1e6 /
-         static_cast<double>(cluster.sim().clock.now() - start);
+  });
 }
 
 }  // namespace

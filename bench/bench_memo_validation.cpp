@@ -59,7 +59,7 @@ RunResult run(bool memo_on) {
   ClusterConfig cfg;
   cfg.nodes = 1;
   cfg.with_replication = false;
-  cfg.flags.validation_memo = memo_on;
+  cfg.validation_memo = memo_on;
   Cluster cluster(cfg);
   AdminConsole admin(cluster);
   scenarios::FlightBooking::define_classes(cluster.classes());
@@ -78,7 +78,7 @@ RunResult run(bool memo_on) {
       "soldTickets", Value{std::int64_t{200}});
 
   RunResult out;
-  const SimTime start = cluster.sim().clock.now();
+  const SimTime start = cluster.runtime().now();
   for (std::size_t sweep = 0; sweep < kSweeps; ++sweep) {
     if (sweep % 4 == 3) {
       // A real sale: writes one entity, busting exactly its entry.
@@ -89,7 +89,7 @@ RunResult run(bool memo_on) {
         node.ccmgr().revalidate_for_objects("TicketConstraint", flights);
     out.violations_per_sweep.push_back(violating.size());
   }
-  out.elapsed = cluster.sim().clock.now() - start;
+  out.elapsed = cluster.runtime().now() - start;
   out.revalidations_per_s =
       static_cast<double>(kFlights * kSweeps) * 1e6 /
       static_cast<double>(out.elapsed);

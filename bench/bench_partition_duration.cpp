@@ -52,10 +52,10 @@ Sweep run(std::size_t degraded_ops) {
   }
 
   cluster->inject(fault::Heal{});
-  const SimTime t0 = cluster->sim().clock.now();
+  const SimTime t0 = cluster->runtime().now();
   (void)cluster->reconcile();
   out.reconciliation_ms =
-      static_cast<double>(cluster->sim().clock.now() - t0) / 1000.0;
+      static_cast<double>(cluster->runtime().now() - t0) / 1000.0;
   out.cost_per_gained_op_ms =
       out.gained_ops > 0 ? out.reconciliation_ms / out.gained_ops : 0;
   return out;

@@ -141,7 +141,7 @@ SweepPoint run_point(const SweepOptions& opt, double multiplier,
   auto cluster = make_sharded_cluster(opt);
   const auto objects = populate(*cluster, opt.objects_per_shard);
   shard::FrontDoor& door = cluster->front_door();
-  SimClock& clock = cluster->sim().clock;
+  Runtime& rt = cluster->runtime();
 
   obs::LatencyHistogram queueing;
   std::size_t committed = 0;
@@ -160,21 +160,21 @@ SweepPoint run_point(const SweepOptions& opt, double multiplier,
   const double gap_us = 1e6 / offered;
   Rng rng(opt.spec.seed ^ (0x5EEDULL * static_cast<std::uint64_t>(
                                            multiplier * 1000.0)));
-  const SimTime phase_start = clock.now();
+  const SimTime phase_start = rt.now();
   for (std::size_t i = 0; i < opt.spec.requests; ++i) {
     // Open loop: the arrival happens at its scheduled time regardless of
     // how far behind the server is.  Between arrivals the server pumps.
     const SimTime arrival =
         phase_start + static_cast<SimTime>(static_cast<double>(i) * gap_us);
-    while (clock.now() < arrival) {
+    while (rt.now() < arrival) {
       if (door.pump() == 0) {
-        clock.advance_to(arrival);  // idle: nothing queued anywhere
+        rt.charge(arrival - rt.now());  // idle: nothing queued anywhere
       }
     }
     cluster->submit(next_request(opt, rng, objects));
   }
   door.drain();
-  const SimTime elapsed = clock.now() - phase_start;
+  const SimTime elapsed = rt.now() - phase_start;
   door.set_outcome_sink(nullptr);
 
   const shard::FrontDoor::ShardStats totals = door.totals();

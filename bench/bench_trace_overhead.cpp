@@ -51,7 +51,7 @@ Sample measure(std::size_t capacity, std::size_t ops) {
       static_cast<double>(cluster->obs().trace().recorded() - recorded_before) /
       static_cast<double>(ops);
   s.dropped = cluster->obs().trace().dropped();
-  s.sim_time = cluster->sim().clock.now();
+  s.sim_time = cluster->runtime().now();
   return s;
 }
 

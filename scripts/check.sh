@@ -10,6 +10,9 @@
 #      and carries latency percentile summaries (p50/p95/p99)
 #   5. configure, build and test a Release tree in build-release (GCC
 #      raises some warnings, -Wrestrict among them, only at -O3)
+#   6. build the repository benchmark (perfbench/) in .bench_build, the
+#      directory perfbench/run.py uses; it compiles the middleware
+#      sources on its own, so a header change must keep it building
 #
 # Modes:
 #   scripts/check.sh [build-dir]     default tier-1 pass (build dir: build);
@@ -387,6 +390,9 @@ gray_smoke "$BUILD_DIR"
 trace_smoke "$BUILD_DIR"
 shard_smoke "$BUILD_DIR"
 release_build
+cmake -S perfbench -B .bench_build > /dev/null
+cmake --build .bench_build -j "$JOBS"
+echo "benchmark gate: perfbench builds"
 "$0" --threads
 "$0" --asan
 

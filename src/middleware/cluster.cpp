@@ -16,20 +16,17 @@ namespace dedisys {
 
 Cluster::Cluster(ClusterConfig config) : config_(config) {
   // The trace hub's ambient span stack is single-threaded by design, so
-  // observability stays off on the threaded backend regardless of flags.
-  if (config_.backend == RuntimeBackend::Sim && config_.flags.observability) {
-    obs_.enable(config_.flags.trace_capacity);
+  // observability stays off on the threaded backend regardless of config.
+  if (config_.backend == RuntimeBackend::Sim && config_.observability) {
+    obs_.enable(config_.trace_capacity);
   }
-  network_ = std::make_unique<SimNetwork>(clock_, config_.cost);
-  for (std::size_t i = 0; i < config_.nodes; ++i) {
-    network_->add_node(NodeId{i});
-  }
-  events_ = std::make_unique<EventQueue>(clock_);
+  std::vector<NodeId> ids;
+  ids.reserve(config_.nodes);
+  for (std::size_t i = 0; i < config_.nodes; ++i) ids.push_back(NodeId{i});
   if (config_.backend == RuntimeBackend::Threaded) {
-    runtime_ = std::make_unique<ThreadedRuntime>(network_->nodes(),
-                                                 config_.cost);
+    runtime_ = std::make_unique<ThreadedRuntime>(ids, config_.cost);
   } else {
-    runtime_ = std::make_unique<SimRuntime>(clock_, *network_, *events_);
+    runtime_ = std::make_unique<SimRuntime>(config_.cost, ids);
   }
   tm_ = std::make_unique<TransactionManager>(*runtime_);
   tm_->set_observability(&obs_);
@@ -41,16 +38,8 @@ Cluster::Cluster(ClusterConfig config) : config_(config) {
   threat_store_ = std::make_unique<ThreatStore>(*threat_db_);
   threat_store_->set_policy(config_.threat_policy);
 
-  NodeOptions options;
-  options.protocol = config_.protocol;
-  options.with_replication = config_.with_replication;
-  options.with_ccm = config_.with_ccm;
-  options.keep_history = config_.keep_history;
-  options.default_min_degree = config_.default_min_degree;
-  options.reconciliation_policy = config_.reconciliation_policy;
-  options.flags = config_.flags;
-  for (std::size_t i = 0; i < config_.nodes; ++i) {
-    nodes_.push_back(std::make_unique<DedisysNode>(*this, NodeId{i}, options));
+  for (NodeId id : ids) {
+    nodes_.push_back(std::make_unique<DedisysNode>(*this, id));
   }
 
   std::vector<ReplicationManager*> managers;
@@ -59,12 +48,21 @@ Cluster::Cluster(ClusterConfig config) : config_(config) {
   for (auto& n : nodes_) n->replication().connect_peers(managers);
 
   shard_map_ = std::make_unique<shard::ShardMap>(
-      network_->nodes(), config_.shards == 0 ? 1 : config_.shards);
+      runtime_->nodes(), config_.shards == 0 ? 1 : config_.shards);
   front_door_ = std::make_unique<shard::FrontDoor>(*this, *shard_map_,
                                                    config_.shard_policy);
 }
 
 Cluster::~Cluster() = default;
+
+SimRuntime& Cluster::sim() {
+  if (config_.backend != RuntimeBackend::Sim) {
+    throw ConfigError(
+        "the threaded backend has no simulated substrate: fault injection "
+        "and sim drivers need RuntimeBackend::Sim");
+  }
+  return static_cast<SimRuntime&>(*runtime_);
+}
 
 ConstraintRepository& Cluster::application_constraints(
     const std::string& name) {
@@ -97,8 +95,9 @@ DedisysNode* Cluster::node_by_id(NodeId id) {
 }
 
 void Cluster::inject(const fault::Op& op) {
+  SimNetwork& network = sim().network();
   std::visit(
-      [this](const auto& o) {
+      [this, &network](const auto& o) {
         using T = std::decay_t<decltype(o)>;
         if constexpr (std::is_same_v<T, fault::Partition>) {
           split_ids(o.groups);
@@ -108,13 +107,13 @@ void Cluster::inject(const fault::Op& op) {
           if (DedisysNode* n = node_by_id(o.node)) {
             do_crash(*n);
           } else {
-            network_->apply(o);
+            network.apply(o);
           }
         } else if constexpr (std::is_same_v<T, fault::Restart>) {
           inject(o);
         } else {
           // Link faults and gray ops act on the network substrate alone.
-          network_->apply(o);
+          network.apply(o);
         }
       },
       op);
@@ -122,7 +121,7 @@ void Cluster::inject(const fault::Op& op) {
 
 std::size_t Cluster::inject(const fault::Restart& op) {
   if (DedisysNode* n = node_by_id(op.node)) return do_restart(*n);
-  network_->apply(op);
+  sim().network().apply(op);
   return 0;
 }
 
@@ -138,29 +137,29 @@ void Cluster::split_ids(std::vector<std::vector<NodeId>> node_groups) {
       }
       detail += '}';
     }
-    obs_.event(clock_.now(), obs::TraceEventKind::NetworkSplit, {}, {}, {},
+    obs_.event(runtime_->now(), obs::TraceEventKind::NetworkSplit, {}, {}, {},
                "partition", detail);
   }
-  network_->apply(fault::Partition{std::move(node_groups)});
+  sim().network().apply(fault::Partition{std::move(node_groups)});
 }
 
 void Cluster::do_heal() {
   if (obs_.enabled()) {
-    obs_.event(clock_.now(), obs::TraceEventKind::NetworkHeal, {}, {}, {},
+    obs_.event(runtime_->now(), obs::TraceEventKind::NetworkHeal, {}, {}, {},
                "heal");
   }
-  network_->apply(fault::Heal{});
+  sim().network().apply(fault::Heal{});
 }
 
 void Cluster::do_crash(DedisysNode& n) {
   // The pause-crash wipes the node's volatile state (in-memory replicas);
   // the durable record store survives for restart recovery.
   n.replication().drop_volatile();
-  network_->apply(fault::Crash{n.id()});
+  sim().network().apply(fault::Crash{n.id()});
 }
 
 std::size_t Cluster::do_restart(DedisysNode& n) {
-  network_->apply(fault::Restart{n.id()});
+  sim().network().apply(fault::Restart{n.id()});
 
   // Coordinator recovery first: any transaction left in doubt by a crash
   // between prepare and commit is presumed aborted, releasing its locks
@@ -223,6 +222,7 @@ std::size_t Cluster::do_restart(DedisysNode& n) {
 }
 
 void Cluster::adopt_fault_engine(FaultEngine& engine) {
+  sim();  // throws on the threaded backend: faults are sim-only
   engine.set_observability(&obs_);
   engine.set_crash_handler([this](NodeId id) { inject(fault::Crash{id}); });
   engine.set_restart_handler(

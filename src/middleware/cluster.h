@@ -1,6 +1,8 @@
 // DeDiSys cluster: execution runtime + node kernels + the reconciliation
-// driver (Fig. 4.6).  The backend is pluggable (src/runtime): deterministic
-// simulation by default, or wall-clock threads via ClusterConfig::backend.
+// driver (Fig. 4.6).  It builds exactly one runtime (src/runtime), picked
+// by ClusterConfig::backend: a SimRuntime owning the simulated clock,
+// network and event queue (default), or a ThreadedRuntime, which builds
+// none of them.  ClusterConfig is the one configuration object.
 #pragma once
 
 #include <cstddef>
@@ -18,16 +20,13 @@
 #include "persist/record_store.h"
 #include "replication/protocol.h"
 #include "replication/reconciler.h"
-#include "runtime/options.h"
 #include "runtime/runtime.h"
+#include "runtime/sim_runtime.h"
 #include "shard/front_door.h"
 #include "shard/policy.h"
 #include "shard/shard_map.h"
-#include "sim/event_queue.h"
 #include "sim/fault_plan.h"
-#include "sim/network.h"
 #include "tx/tx_manager.h"
-#include "util/sim_clock.h"
 
 namespace dedisys {
 
@@ -53,11 +52,17 @@ struct ClusterConfig {
   /// (default — every seed-pinned suite), or wall-clock worker threads
   /// (benchmarks on real hardware; no fault injection, no tracing).
   RuntimeBackend backend = RuntimeBackend::Sim;
-  /// Feature toggles shared with NodeOptions and ChaosOptions (see
-  /// runtime/options.h for per-flag semantics).  Observability can also be
-  /// enabled later via cluster.obs().enable(); on the threaded backend it
-  /// is forced off (the trace hub's span stack is single-threaded).
-  FeatureFlags flags;
+  /// Structured event tracing + latency histograms (src/obs).  Off by
+  /// default: instrumented hot paths then cost a single branch.  Can also
+  /// be enabled later via cluster.obs().enable().  Ignored (forced off) on
+  /// the threaded backend — the trace hub's span stack is single-threaded.
+  bool observability = false;
+  /// Ring-buffer capacity of the trace recorder when observability is on.
+  std::size_t trace_capacity = 4096;
+  /// Version-stamped validation memoization: cache definite constraint
+  /// outcomes keyed by the read-set entities' write stamps.  Off by
+  /// default — memo-off runs are byte-identical to builds without it.
+  bool validation_memo = false;
   /// Replica groups the entity space is partitioned across (1 = the
   /// classic fully-replicated cluster; must not exceed `nodes`).  Each
   /// shard runs the GMS/replication/P4/CCMgr stack over its own node
@@ -66,17 +71,6 @@ struct ClusterConfig {
   /// Admission-control tuning of the sharded front door (queue bounds,
   /// batching, TxQ-style fee escalation); see shard/policy.h.
   shard::ShardPolicy shard_policy;
-};
-
-/// Narrow view of the deterministic-simulation substrate, for fault
-/// injection and chaos/script drivers — the only way to reach the sim
-/// clock, network and event queue, so the rest of the public cluster
-/// surface stays backend-neutral; meaningless on the threaded backend
-/// (see docs/fault_injection.md).
-struct SimHandles {
-  SimClock& clock;
-  SimNetwork& network;
-  EventQueue& events;
 };
 
 class Cluster {
@@ -94,10 +88,10 @@ class Cluster {
 
   // -- sim-only substrate (fault injection, chaos/script drivers) --------------
 
-  /// The deterministic-simulation internals behind one narrow handle
-  /// (meaningless on the threaded backend; the FaultEngine and the chaos
-  /// and scripted scenarios are sim-pinned, see docs/fault_injection.md).
-  SimHandles sim() { return SimHandles{clock_, *network_, *events_}; }
+  /// The deterministic-simulation runtime and, through it, the simulated
+  /// network and event queue.  Throws ConfigError on the threaded backend,
+  /// which has no simulated substrate (see docs/fault_injection.md).
+  SimRuntime& sim();
 
   /// Cluster-wide distributed transaction manager.
   TransactionManager& tx() { return *tm_; }
@@ -159,6 +153,7 @@ class Cluster {
   /// recovers in-doubt transactions and rebuilds replicas, partitions are
   /// recorded for reconciliation and traced) and everything else straight
   /// to the sim network — the same dispatch a wired FaultEngine uses.
+  /// Throws ConfigError on the threaded backend, before any state changes.
   void inject(const fault::Op& op);
 
   /// Restart overload: returns the number of replicas rebuilt.
@@ -166,7 +161,8 @@ class Cluster {
 
   /// Wires a fault engine to this cluster: its crash, restart, partition
   /// and heal actions route through inject(), and its trace events land in
-  /// this cluster's observability hub.
+  /// this cluster's observability hub.  Throws ConfigError on the threaded
+  /// backend.
   void adopt_fault_engine(FaultEngine& engine);
 
   // -- reconciliation (Section 4.4) -------------------------------------------------
@@ -196,10 +192,7 @@ class Cluster {
   std::size_t do_restart(DedisysNode& n);
 
   ClusterConfig config_;
-  SimClock clock_;
   obs::Observability obs_;
-  std::unique_ptr<SimNetwork> network_;
-  std::unique_ptr<EventQueue> events_;
   /// Destroyed after nodes_ (declared before them): node teardown still
   /// unsubscribes GMS listeners through the runtime.
   std::unique_ptr<Runtime> runtime_;

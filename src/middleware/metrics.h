@@ -87,24 +87,26 @@ inline ClusterMetrics collect_metrics(Cluster& cluster) {
   out.lookup_searches = cluster.constraints().search_count();
   out.lookup_cache_hits = cluster.constraints().cache_hit_count();
   out.lookup_cache_misses = cluster.constraints().cache_miss_count();
-  {
-    const SimNetwork::FaultStats& net = cluster.sim().network.fault_stats();
-    const GroupCommunication::Stats& gc = cluster.gc().stats();
-    const TransactionManager::Stats& tx = cluster.tx().stats();
+  // Network fault counters exist only on the simulated substrate; the
+  // threaded backend injects no faults, so they stay zero there.
+  if (cluster.config().backend == RuntimeBackend::Sim) {
+    const SimNetwork::FaultStats& net = cluster.sim().network().fault_stats();
     out.faults.messages_dropped = net.messages_dropped;
     out.faults.messages_duplicated = net.messages_duplicated;
     out.faults.messages_delayed = net.messages_delayed;
     out.faults.crashes = net.crashes;
     out.faults.restarts = net.restarts;
-    out.faults.gc_retries = gc.retries;
-    out.faults.gc_gave_up = gc.gave_up;
-    out.faults.gc_duplicates_suppressed = gc.duplicates_suppressed;
-    out.faults.gc_reordered = gc.reordered;
-    out.faults.tx_commits = tx.commits;
-    out.faults.tx_aborts = tx.aborts;
-    out.faults.tx_presumed_aborts = tx.presumed_aborts;
-    out.faults.tx_in_doubt = cluster.tx().in_doubt_count();
   }
+  const GroupCommunication::Stats& gc = cluster.gc().stats();
+  const TransactionManager::Stats& tx = cluster.tx().stats();
+  out.faults.gc_retries = gc.retries;
+  out.faults.gc_gave_up = gc.gave_up;
+  out.faults.gc_duplicates_suppressed = gc.duplicates_suppressed;
+  out.faults.gc_reordered = gc.reordered;
+  out.faults.tx_commits = tx.commits;
+  out.faults.tx_aborts = tx.aborts;
+  out.faults.tx_presumed_aborts = tx.presumed_aborts;
+  out.faults.tx_in_doubt = cluster.tx().in_doubt_count();
   for (std::size_t i = 0; i < cluster.size(); ++i) {
     DedisysNode& node = cluster.node(i);
     NodeMetrics m;

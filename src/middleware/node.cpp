@@ -105,9 +105,9 @@ Value NodeObjectAccessor::invoke(ObjectId id, const MethodSignature& method,
 // DedisysNode
 // ---------------------------------------------------------------------------
 
-DedisysNode::DedisysNode(Cluster& cluster, NodeId id,
-                         const NodeOptions& options)
-    : cluster_(&cluster), id_(id), options_(options), obs_(&cluster.obs()) {
+DedisysNode::DedisysNode(Cluster& cluster, NodeId id)
+    : cluster_(&cluster), id_(id), obs_(&cluster.obs()) {
+  const ClusterConfig& config = cluster.config();
   Runtime& rt = cluster.runtime();
   db_ = std::make_unique<RecordStore>(rt);
   history_ = std::make_unique<ReplicaHistoryStore>(rt);
@@ -118,20 +118,20 @@ DedisysNode::DedisysNode(Cluster& cluster, NodeId id,
   gms_->subscribe(this);
   repl_ = std::make_unique<ReplicationManager>(
       id, cluster.classes(), cluster.gc(), *gms_, *db_, *history_,
-      cluster.directory(), options.protocol);
+      cluster.directory(), config.protocol);
   repl_->set_observability(obs_);
-  repl_->set_keep_history(options.keep_history);
-  repl_->set_replication_enabled(options.with_replication);
+  repl_->set_keep_history(config.keep_history);
+  repl_->set_replication_enabled(config.with_replication);
 
   accessor_ = std::make_unique<NodeObjectAccessor>(*this);
   Cluster* cl = cluster_;
   CcmgrWiring wiring;
   wiring.oracle = repl_.get();
   wiring.objects = accessor_.get();
-  wiring.default_min = options.default_min_degree;
+  wiring.default_min = config.default_min_degree;
   wiring.obs = obs_;
-  wiring.memo = options.flags.validation_memo;
-  if (options.with_replication) {
+  wiring.memo = config.validation_memo;
+  if (config.with_replication) {
     ReplicationManager* repl = repl_.get();
     wiring.threat_replicator =
         [repl](const ConsistencyThreat&) { repl->replicate_threat_record(); };
@@ -142,7 +142,7 @@ DedisysNode::DedisysNode(Cluster& cluster, NodeId id,
       cluster.constraints(), cluster.threats(), *tm_, rt, id,
       std::move(wiring));
 
-  if (options.with_ccm) {
+  if (config.with_ccm) {
     server_chain_.add(std::make_shared<CCMInterceptor>(*ccmgr_, *accessor_));
   }
   server_chain_.add(std::make_shared<ReplicationInterceptor>(*this));
@@ -160,7 +160,8 @@ void DedisysNode::change_mode(SystemMode m) {
 
 void DedisysNode::on_view_installed(const View& installed,
                                     const View& /*previous*/) {
-  if (!options_.with_replication) return;  // independent node: always healthy
+  // An independent node (no replication) is always healthy.
+  if (!cluster_->config().with_replication) return;
   if (!installed.complete) {
     change_mode(SystemMode::Degraded);
     repl_->set_degraded(true);
@@ -168,10 +169,10 @@ void DedisysNode::on_view_installed(const View& installed,
   } else {
     if (mode_ == SystemMode::Degraded) {
       change_mode(SystemMode::Reconciling);
-      if (options_.reconciliation_policy !=
+      if (cluster_->config().reconciliation_policy !=
           ReconciliationBusinessPolicy::Proceed) {
         threatened_cache_ = ccmgr_->threatened_objects();
-        if (options_.reconciliation_policy ==
+        if (cluster_->config().reconciliation_policy ==
             ReconciliationBusinessPolicy::TreatAsDegraded) {
           ccmgr_->set_forced_stale(threatened_cache_);
         }
@@ -184,12 +185,12 @@ void DedisysNode::on_view_installed(const View& installed,
 
 bool DedisysNode::apply_reconciliation_policy(ObjectId target) {
   if (mode_ != SystemMode::Reconciling ||
-      options_.reconciliation_policy ==
+      cluster_->config().reconciliation_policy ==
           ReconciliationBusinessPolicy::Proceed ||
       threatened_cache_.count(target) == 0) {
     return false;
   }
-  if (options_.reconciliation_policy ==
+  if (cluster_->config().reconciliation_policy ==
       ReconciliationBusinessPolicy::BlockThreatened) {
     throw ReconciliationBlocked("object " + to_string(target) +
                                 " is being reconciled");

@@ -29,7 +29,6 @@
 #include "persist/record_store.h"
 #include "replication/adapt.h"
 #include "replication/manager.h"
-#include "runtime/options.h"
 #include "tx/tx_manager.h"
 
 namespace dedisys {
@@ -66,23 +65,9 @@ enum class ReconciliationBusinessPolicy {
   TreatAsDegraded,  ///< validate as in degraded mode (new threats possible)
 };
 
-struct NodeOptions {
-  ReplicationProtocol protocol = ReplicationProtocol::PrimaryPartition;
-  bool with_replication = true;
-  bool with_ccm = true;
-  bool keep_history = true;
-  SatisfactionDegree default_min_degree = SatisfactionDegree::Satisfied;
-  ReconciliationBusinessPolicy reconciliation_policy =
-      ReconciliationBusinessPolicy::Proceed;
-  /// Feature toggles shared with ClusterConfig and ChaosOptions (see
-  /// runtime/options.h).  The node consumes validation_memo; the
-  /// observability pair is cluster-level.
-  FeatureFlags flags;
-};
-
 class DedisysNode final : public ViewListener {
  public:
-  DedisysNode(Cluster& cluster, NodeId id, const NodeOptions& options);
+  DedisysNode(Cluster& cluster, NodeId id);
   ~DedisysNode() override = default;
 
   DedisysNode(const DedisysNode&) = delete;
@@ -111,10 +96,6 @@ class DedisysNode final : public ViewListener {
     }
   }
 
-  void set_reconciliation_policy(ReconciliationBusinessPolicy p) {
-    options_.reconciliation_policy = p;
-  }
-
   /// Appends a custom interceptor to this node's server-side chain
   /// (the standardjboss.xml extension point of Section 4.2.4).  Runs
   /// after the built-in CCM and replication interceptors.
@@ -139,7 +120,7 @@ class DedisysNode final : public ViewListener {
 
   // -- client API ----------------------------------------------------------
 
-  /// Creates an entity of `class_name` replicated per the node options;
+  /// Creates an entity of `class_name` replicated per the cluster config;
   /// `application` scopes which constraint repository applies (Section 5.3).
   /// `replica_nodes` confines the replica set to an explicit node group
   /// (the sharded front door passes the owning shard's replica group);
@@ -178,7 +159,6 @@ class DedisysNode final : public ViewListener {
 
   Cluster* cluster_;
   NodeId id_;
-  NodeOptions options_;
   obs::Observability* obs_ = nullptr;
 
   std::unique_ptr<RecordStore> db_;

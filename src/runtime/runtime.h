@@ -27,6 +27,19 @@
 
 namespace dedisys {
 
+/// Which execution backend a Cluster runs on (see docs/runtime.md).
+enum class RuntimeBackend {
+  /// Deterministic discrete-event simulation (SimRuntime: SimClock +
+  /// EventQueue + SimNetwork).  Every chaos, gray, memo and seed-pinned
+  /// test runs here; same seed, byte-identical timeline.
+  Sim,
+  /// Wall-clock execution (ThreadedRuntime): one thread per node, real
+  /// steady_clock time, lock-guarded per-node mailboxes.  No fault
+  /// injection, no tracing — this backend exists to measure real-hardware
+  /// throughput/latency.
+  Threaded,
+};
+
 /// Observer of topology changes (the GMS subscribes to drive view changes).
 /// Lives at the runtime seam: the sim backend fires it from SimNetwork
 /// fault operations; the threaded backend has a static topology and never

@@ -4,8 +4,10 @@
 // This backend exists to measure real-hardware throughput and latency
 // (bench/bench_wallclock_throughput).  It deliberately models nothing:
 // charges are no-ops (real time passes instead), every node is always
-// reachable, delivery never fails, and topology never changes — fault
-// injection stays exclusive to the sim backend (docs/fault_injection.md).
+// reachable, delivery never fails, and topology never changes.  A cluster
+// on this backend builds no simulated clock, network or event queue, so
+// fault injection stays exclusive to the sim backend: Cluster::inject
+// throws ConfigError here (docs/fault_injection.md).
 //
 // Concurrency model (docs/runtime.md):
 //   * One "kernel" lock serializes protocol sections — regions that

@@ -71,7 +71,7 @@ std::vector<ObjectId> create_entities_sharded(Cluster& cluster,
 void check_primary_per_partition(Cluster& cluster, DedisysNode& invoker,
                                  ObjectId target, ChaosResult& result) {
   const std::vector<NodeId> part =
-      cluster.sim().network.mutually_reachable_set(invoker.id());
+      cluster.sim().network().mutually_reachable_set(invoker.id());
   std::vector<NodeId> elected;
   for (NodeId nid : part) {
     DedisysNode* peer = cluster.node_by_id(nid);
@@ -105,10 +105,14 @@ ChaosResult run_chaos(const ChaosOptions& options) {
   ClusterConfig config;
   config.nodes = options.nodes;
   config.protocol = options.protocol;
-  config.flags = options.flags;
-  config.flags.observability = true;  // the timeline is the oracle
+  // Observability is forced on (the timeline is the determinism oracle)
+  // and the trace ring gets headroom for timeline comparisons.
+  config.observability = true;
+  config.trace_capacity = 65536;
+  config.validation_memo = options.validation_memo;
   config.shards = options.shards;
   Cluster cluster(config);
+  SimNetwork& network = cluster.sim().network();
   AdminConsole admin(cluster);
 
   EvalApp::define_classes(cluster.classes());
@@ -122,7 +126,7 @@ ChaosResult run_chaos(const ChaosOptions& options) {
           : EvalApp::create_entities(cluster.node(0), options.objects);
 
   RandomPlanOptions plan_options;
-  plan_options.nodes = cluster.sim().network.nodes();
+  plan_options.nodes = network.nodes();
   plan_options.horizon = options.horizon;
   plan_options.events = options.fault_events;
   FaultPlan plan;
@@ -133,16 +137,16 @@ ChaosResult run_chaos(const ChaosOptions& options) {
   } else {
     plan = random_fault_plan(options.seed, plan_options);
   }
-  FaultEngine engine(cluster.sim().network, std::move(plan));
+  FaultEngine engine(network, std::move(plan));
   cluster.adopt_fault_engine(engine);
 
   RecordingConflictHandler recorder;
 
   auto all_up_and_connected = [&] {
-    for (NodeId n : cluster.sim().network.nodes()) {
-      if (!cluster.sim().network.is_alive(n)) return false;
+    for (NodeId n : network.nodes()) {
+      if (!network.is_alive(n)) return false;
     }
-    return cluster.sim().network.fully_connected();
+    return network.fully_connected();
   };
   auto needs_reconcile = [&] {
     for (std::size_t i = 0; i < cluster.size(); ++i) {
@@ -180,7 +184,7 @@ ChaosResult run_chaos(const ChaosOptions& options) {
     DedisysNode& invoker = cluster.node(workload.below(cluster.size()));
     const ObjectId target = ids[workload.below(ids.size())];
     const std::uint64_t kind = workload.below(4);
-    if (!cluster.sim().network.is_alive(invoker.id())) {
+    if (!network.is_alive(invoker.id())) {
       ++result.skipped_node_down;
       continue;
     }

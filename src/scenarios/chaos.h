@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "replication/protocol.h"
-#include "runtime/options.h"
 #include "sim/fault_plan.h"
 #include "util/ids.h"
 #include "util/sim_clock.h"
@@ -42,11 +41,9 @@ struct ChaosOptions {
   std::size_t shards = 1;
   SimDuration horizon = sim_ms(400);
   ReplicationProtocol protocol = ReplicationProtocol::PrimaryPartition;
-  /// Feature toggles forwarded to ClusterConfig verbatim.  Observability is
-  /// forced on (the timeline is the determinism oracle) and the trace ring
-  /// gets headroom for timeline comparisons.  `validation_memo` runs of the
+  /// Forwarded to ClusterConfig::validation_memo.  Memo-on runs of the
   /// same seed must match memo-off runs byte for byte (check.sh --memo).
-  FeatureFlags flags{.observability = true, .trace_capacity = 65536};
+  bool validation_memo = false;
   /// Draw the fault plan from `random_gray_plan` instead of
   /// `random_fault_plan`: the op mix then includes asymmetric one-way
   /// cuts, flapping links, slow-but-alive nodes and clock skew.

@@ -32,7 +32,7 @@ std::string summarize_invariants(const ChaosResult& r) {
 PlanVerdict check_plan(const FaultPlan& plan, const ChaosOptions& options) {
   ChaosOptions opts = options;
   opts.plan = plan;
-  opts.flags.validation_memo = false;
+  opts.validation_memo = false;
 
   PlanVerdict verdict;
   verdict.result = run_chaos(opts);
@@ -41,7 +41,7 @@ PlanVerdict check_plan(const FaultPlan& plan, const ChaosOptions& options) {
   const ChaosResult second = run_chaos(opts);
   verdict.deterministic = second.timeline == verdict.result.timeline;
 
-  opts.flags.validation_memo = true;
+  opts.validation_memo = true;
   const ChaosResult memo = run_chaos(opts);
   verdict.memo_equivalent = memo.timeline == verdict.result.timeline;
 

@@ -112,7 +112,7 @@ void ScriptRunner::execute(const std::vector<std::string>& words,
   ScriptCommandResult result;
   result.line = line;
   result.command = join(words, " ");
-  const SimTime start = cluster_->sim().clock.now();
+  const SimTime start = cluster_->runtime().now();
 
   if (cmd == "node") {
     need(1);
@@ -171,11 +171,11 @@ void ScriptRunner::execute(const std::vector<std::string>& words,
     cluster_->inject(fault::Heal{});
   } else if (cmd == "crash") {
     need(1);
-    cluster_->sim().network.apply(
+    cluster_->sim().network().apply(
         fault::Crash{cluster_->node(to_count(words[1], line)).id()});
   } else if (cmd == "recover") {
     need(1);
-    cluster_->sim().network.apply(
+    cluster_->sim().network().apply(
         fault::Restart{cluster_->node(to_count(words[1], line)).id()});
   } else if (cmd == "reconcile") {
     (void)cluster_->reconcile();
@@ -216,7 +216,7 @@ void ScriptRunner::execute(const std::vector<std::string>& words,
                       ": unknown command '" + cmd + "'");
   }
 
-  result.elapsed = cluster_->sim().clock.now() - start;
+  result.elapsed = cluster_->runtime().now() - start;
   report.commands.push_back(std::move(result));
 }
 
@@ -227,7 +227,7 @@ void ScriptRunner::execute(const std::vector<std::string>& words,
 FailureSchedule& FailureSchedule::split_at(
     SimTime when, std::vector<std::vector<std::size_t>> groups) {
   Cluster* cluster = cluster_;
-  cluster_->sim().events.schedule_at(
+  cluster_->sim().events().schedule_at(
       when, [cluster, groups = std::move(groups)] {
         cluster->inject(fault::split_indices(groups));
       });
@@ -236,22 +236,23 @@ FailureSchedule& FailureSchedule::split_at(
 
 FailureSchedule& FailureSchedule::heal_at(SimTime when) {
   Cluster* cluster = cluster_;
-  cluster_->sim().events.schedule_at(when, [cluster] { cluster->inject(fault::Heal{}); });
+  cluster_->sim().events().schedule_at(
+      when, [cluster] { cluster->inject(fault::Heal{}); });
   return *this;
 }
 
 FailureSchedule& FailureSchedule::crash_at(SimTime when, std::size_t node) {
   Cluster* cluster = cluster_;
-  cluster_->sim().events.schedule_at(when, [cluster, node] {
-    cluster->sim().network.apply(fault::Crash{cluster->node(node).id()});
+  cluster_->sim().events().schedule_at(when, [cluster, node] {
+    cluster->sim().network().apply(fault::Crash{cluster->node(node).id()});
   });
   return *this;
 }
 
 FailureSchedule& FailureSchedule::recover_at(SimTime when, std::size_t node) {
   Cluster* cluster = cluster_;
-  cluster_->sim().events.schedule_at(when, [cluster, node] {
-    cluster->sim().network.apply(fault::Restart{cluster->node(node).id()});
+  cluster_->sim().events().schedule_at(when, [cluster, node] {
+    cluster->sim().network().apply(fault::Restart{cluster->node(node).id()});
   });
   return *this;
 }

@@ -239,6 +239,10 @@ class TransactionManager {
     tx.status_ = TxStatus::Committed;
     ++stats_.commits;
     release_locks(tx);
+    // A finished transaction is never rolled back: release the undo
+    // closures (and the entity snapshots they captured) now.
+    tx.undo_actions_.clear();
+    tx.undo_actions_.shrink_to_fit();
     auto actions = std::move(tx.post_commit_actions_);
     tx.post_commit_actions_.clear();
     for (auto& a : actions) a();

@@ -818,7 +818,7 @@ TEST(ConfigAnalysisTest, DeployRejectsConflictingPairNamingBoth) {
 TEST(ConfigAnalysisTest, ProvenTautologySkipsValidationWithTrace) {
   ClusterConfig cfg;
   cfg.nodes = 1;
-  cfg.flags.observability = true;
+  cfg.observability = true;
   Cluster cluster(cfg);
   ClassDescriptor& flight = cluster.classes().define("Flight");
   flight.define_property("active", Value{false}, "bool");
@@ -895,7 +895,7 @@ void register_interfering_invariants(ConstraintRepository& repo) {
 TEST(ConfigAnalysisTest, ReconcileKeepsThreatIdentityOrder) {
   ClusterConfig cfg;
   cfg.nodes = 1;
-  cfg.flags.observability = true;
+  cfg.observability = true;
   Cluster cluster(cfg);
   define_wide_class(cluster.classes());
   register_interfering_invariants(cluster.constraints());

@@ -429,9 +429,7 @@ class ThreatStoreTest : public ::testing::Test {
     return t;
   }
 
-  SimClock clock_;
-  CostModel cost_;
-  SimRuntime rt_{clock_, cost_};
+  SimRuntime rt_{CostModel{}};
   RecordStore db_;
   ThreatStore store_;
 };

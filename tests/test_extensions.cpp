@@ -335,13 +335,13 @@ TEST(CrashRecovery, CrashedNodeTreatedAsPartitionThenRecovers) {
   const ObjectId flight = FlightBooking::create_flight(n0, 80);
   FlightBooking::sell(n0, flight, 10);
 
-  cluster.sim().network.apply(fault::Crash{NodeId{2}});
+  cluster.sim().network().apply(fault::Crash{NodeId{2}});
   EXPECT_EQ(n0.mode(), SystemMode::Degraded);
   // Work continues; threats arise because node 2 might be a partition.
   FlightBooking::sell(n0, flight, 5);
   EXPECT_EQ(cluster.threats().identity_count(), 1u);
 
-  cluster.sim().network.apply(fault::Restart{NodeId{2}});
+  cluster.sim().network().apply(fault::Restart{NodeId{2}});
   EXPECT_EQ(n0.mode(), SystemMode::Reconciling);
   const auto report = cluster.reconcile();
   EXPECT_EQ(report.replica.conflicts, 0u);  // it was a crash, not a split
@@ -405,7 +405,7 @@ TEST(Determinism, IdenticalRunsAreBitwiseRepeatable) {
     FlightBooking::sell(cluster.node(2), f, 1);
     cluster.inject(fault::Heal{});
     (void)cluster.reconcile();
-    return std::make_pair(cluster.sim().clock.now(),
+    return std::make_pair(cluster.runtime().now(),
                           FlightBooking::sold(cluster.node(1), f));
   };
   const auto a = run();

@@ -265,25 +265,20 @@ TEST(GraySplitBrain, BidirectionalViewsKeepOnePrimary) {
 
 class GrayGcsTest : public ::testing::Test {
  protected:
-  GrayGcsTest() : net_(clock_, cost_), gc_(rt_) {
-    for (std::size_t i = 0; i < 3; ++i) net_.add_node(NodeId{i});
-    net_.seed_faults(21);
-  }
+  GrayGcsTest() : gc_(rt_) { rt_.network().seed_faults(21); }
 
-  SimClock clock_;
   CostModel cost_;
-  SimNetwork net_;
-  SimRuntime rt_{clock_, net_};
+  SimRuntime rt_{cost_, {NodeId{0}, NodeId{1}, NodeId{2}}};
   GroupCommunication gc_;
 };
 
 TEST_F(GrayGcsTest, DedupNeverDropsFirstDelivery) {
   LinkFaults faults;
   faults.duplicate = 1.0;  // every message delivered twice
-  net_.apply(fault::SetLinkFaults{faults});
+  rt_.network().apply(fault::SetLinkFaults{faults});
   std::size_t deliveries = 0;
   const std::size_t delivered = gc_.multicast(
-      NodeId{0}, net_.nodes(), [&](NodeId) { ++deliveries; });
+      NodeId{0}, rt_.network().nodes(), [&](NodeId) { ++deliveries; });
   // Both receivers got the payload exactly once; the duplicates were
   // suppressed without ever suppressing a first delivery.
   EXPECT_EQ(delivered, 2u);
@@ -294,7 +289,7 @@ TEST_F(GrayGcsTest, DedupNeverDropsFirstDelivery) {
 TEST_F(GrayGcsTest, RetryExhaustionReportsTheGap) {
   LinkFaults faults;
   faults.drop = 1.0;  // nothing gets through
-  net_.apply(fault::SetLinkFaultsOn{NodeId{0}, NodeId{1}, faults});
+  rt_.network().apply(fault::SetLinkFaultsOn{NodeId{0}, NodeId{1}, faults});
   bool delivered = false;
   EXPECT_FALSE(gc_.send(NodeId{0}, NodeId{1}, [&] { delivered = true; }));
   EXPECT_FALSE(delivered);
@@ -303,15 +298,15 @@ TEST_F(GrayGcsTest, RetryExhaustionReportsTheGap) {
 }
 
 TEST_F(GrayGcsTest, RetryLegsHonorSlowNodesAndRelays) {
-  net_.apply(fault::SlowNode{NodeId{1}, 2.0});
+  rt_.network().apply(fault::SlowNode{NodeId{1}, 2.0});
   LinkFaults faults;
   faults.drop = 0.5;
-  net_.apply(fault::SetLinkFaultsOn{NodeId{0}, NodeId{1}, faults});
-  const SimTime before = clock_.now();
+  rt_.network().apply(fault::SetLinkFaultsOn{NodeId{0}, NodeId{1}, faults});
+  const SimTime before = rt_.now();
   gc_.send(NodeId{0}, NodeId{1}, [] {});
   // Every charged leg towards the slow node costs at least the doubled
   // point-to-point latency (the exact count depends on the seeded drops).
-  EXPECT_GE(clock_.now() - before, 2 * cost_.rpc_latency);
+  EXPECT_GE(rt_.now() - before, 2 * cost_.rpc_latency);
 }
 
 TEST(GrayFlapRetry, ExhaustedRetriesMarkReconciliationAndStayDeterministic) {

@@ -53,10 +53,10 @@ TEST(RemoteReads, ChargeRpcRoundTripsAndReturnPeerState) {
   // is a remote read that must advance the clock by an RPC round trip.
   DedisysNode& a = cluster.node(0);
   ASSERT_FALSE(a.replication().has_local_replica(channel.endpoint_b));
-  const SimTime t0 = cluster.sim().clock.now();
+  const SimTime t0 = cluster.runtime().now();
   const Entity& peer = a.accessor().read(channel.endpoint_b);
   EXPECT_EQ(as_int(peer.get("frequency")), 118000);
-  EXPECT_EQ(cluster.sim().clock.now() - t0, 2 * cfg.cost.rpc_latency);
+  EXPECT_EQ(cluster.runtime().now() - t0, 2 * cfg.cost.rpc_latency);
 }
 
 TEST(Routing, WriteLocksAreHeldUntilTransactionEnd) {
@@ -105,11 +105,11 @@ TEST(Routing, SimulatedTimeAdvancesMonotonicallyAcrossOperations) {
   DedisysNode& n = cluster.node(0);
   const ObjectId flight = FlightBooking::create_flight(n, 100);
 
-  SimTime last = cluster.sim().clock.now();
+  SimTime last = cluster.runtime().now();
   for (int i = 0; i < 10; ++i) {
     FlightBooking::sell(n, flight, 1);
-    EXPECT_GT(cluster.sim().clock.now(), last);
-    last = cluster.sim().clock.now();
+    EXPECT_GT(cluster.runtime().now(), last);
+    last = cluster.runtime().now();
   }
 }
 

@@ -82,8 +82,8 @@ class MemoTestBase : public ::testing::Test {
   static ClusterConfig make_config(std::size_t nodes) {
     ClusterConfig cfg;
     cfg.nodes = nodes;
-    cfg.flags.validation_memo = true;
-    cfg.flags.observability = true;
+    cfg.validation_memo = true;
+    cfg.observability = true;
     return cfg;
   }
 
@@ -301,7 +301,7 @@ TEST(MemoChaosEquivalence, SeededRunsIdenticalWithMemoOnAndOff) {
     off.fault_events = 8;
     off.horizon = sim_ms(250);
     scenarios::ChaosOptions on = off;
-    on.flags.validation_memo = true;
+    on.validation_memo = true;
     const scenarios::ChaosResult a = scenarios::run_chaos(off);
     const scenarios::ChaosResult b = scenarios::run_chaos(on);
     EXPECT_TRUE(a.invariants_ok()) << "seed " << seed;

@@ -72,7 +72,7 @@ TEST(Metrics, DegradedModeVisibleInSnapshot) {
 TEST(Metrics, JsonExportMatchesSnapshot) {
   ClusterConfig cfg;
   cfg.nodes = 3;
-  cfg.flags.observability = true;
+  cfg.observability = true;
   Cluster cluster(cfg);
   EvalApp::define_classes(cluster.classes());
   EvalApp::register_constraints(cluster.constraints());

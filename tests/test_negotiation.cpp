@@ -72,7 +72,7 @@ TEST_F(FreshnessTest, TooStaleCopyIsRejected) {
   cluster_.inject(fault::split_indices({{0}, {1}}));
   // Five expected update periods elapse without updates reaching this
   // partition: the estimated latest version exceeds the actual by 5 > 2.
-  cluster_.sim().clock.advance(sim_sec(5));
+  cluster_.runtime().charge(sim_sec(5));
   EXPECT_THROW(record_mismatched_repair(), ConsistencyThreatRejected);
   EXPECT_EQ(cluster_.threats().identity_count(), 0u);
 }
@@ -91,7 +91,7 @@ TEST_F(FreshnessTest, FreshnessIgnoredForClassesWithoutCriterion) {
   other.node(0).replication().local_replica(f).set_expected_update_period(
       sim_sec(1));
   other.inject(fault::split_indices({{0, 1}, {2}}));
-  other.sim().clock.advance(sim_sec(60));
+  other.runtime().charge(sim_sec(60));
   EXPECT_NO_THROW(FlightBooking::sell(other.node(0), f, 1));
 }
 

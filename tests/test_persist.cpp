@@ -11,9 +11,8 @@ class RecordStoreTest : public ::testing::Test {
  protected:
   RecordStoreTest() : store_(rt_) {}
 
-  SimClock clock_;
   CostModel cost_;
-  SimRuntime rt_{clock_, cost_};
+  SimRuntime rt_{cost_};
   RecordStore store_;
 };
 
@@ -44,31 +43,31 @@ TEST_F(RecordStoreTest, EraseRemoves) {
 }
 
 TEST_F(RecordStoreTest, OperationsChargeDatabaseCosts) {
-  const SimTime t0 = clock_.now();
+  const SimTime t0 = rt_.now();
   store_.put("t", "k", {});
-  EXPECT_EQ(clock_.now() - t0, cost_.db_write);
-  const SimTime t1 = clock_.now();
+  EXPECT_EQ(rt_.now() - t0, cost_.db_write);
+  const SimTime t1 = rt_.now();
   (void)store_.get("t", "k");
-  EXPECT_EQ(clock_.now() - t1, cost_.db_read);
-  const SimTime t2 = clock_.now();
+  EXPECT_EQ(rt_.now() - t1, cost_.db_read);
+  const SimTime t2 = rt_.now();
   (void)store_.contains("t", "k");
-  EXPECT_EQ(clock_.now() - t2, cost_.db_read);
-  const SimTime t3 = clock_.now();
+  EXPECT_EQ(rt_.now() - t2, cost_.db_read);
+  const SimTime t3 = rt_.now();
   store_.erase("t", "k");
-  EXPECT_EQ(clock_.now() - t3, cost_.db_delete);
+  EXPECT_EQ(rt_.now() - t3, cost_.db_delete);
 }
 
 TEST_F(RecordStoreTest, ScanReturnsKeyOrderAndChargesPerRecord) {
   store_.put("t", "b", {});
   store_.put("t", "a", {});
   store_.put("t", "c", {});
-  const SimTime t0 = clock_.now();
+  const SimTime t0 = rt_.now();
   const auto rows = store_.scan("t");
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_EQ(rows[0].first, "a");
   EXPECT_EQ(rows[1].first, "b");
   EXPECT_EQ(rows[2].first, "c");
-  EXPECT_EQ(clock_.now() - t0, 3 * cost_.db_read);
+  EXPECT_EQ(rt_.now() - t0, 3 * cost_.db_read);
 }
 
 TEST_F(RecordStoreTest, StatisticsTrackOperations) {
@@ -102,15 +101,14 @@ class HistoryStoreTest : public ::testing::Test {
     return s;
   }
 
-  SimClock clock_;
   CostModel cost_;
-  SimRuntime rt_{clock_, cost_};
+  SimRuntime rt_{cost_};
   ReplicaHistoryStore store_;
 };
 
 TEST_F(HistoryStoreTest, AppendsInOrderWithTimestamps) {
   store_.append(snap(1, 1));
-  clock_.advance(sim_ms(2));
+  rt_.charge(sim_ms(2));
   store_.append(snap(1, 2));
   const auto& h = store_.history(ObjectId{1});
   ASSERT_EQ(h.size(), 2u);
@@ -120,9 +118,9 @@ TEST_F(HistoryStoreTest, AppendsInOrderWithTimestamps) {
 }
 
 TEST_F(HistoryStoreTest, AppendChargesHistoryWrite) {
-  const SimTime t0 = clock_.now();
+  const SimTime t0 = rt_.now();
   store_.append(snap(1, 1));
-  EXPECT_EQ(clock_.now() - t0, cost_.history_write);
+  EXPECT_EQ(rt_.now() - t0, cost_.history_write);
 }
 
 TEST_F(HistoryStoreTest, HistoryOfUnknownObjectIsEmpty) {

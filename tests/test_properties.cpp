@@ -2,6 +2,9 @@
 // reconciliation convergence, threat-store invariants.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "middleware/cluster.h"
 #include "runtime/sim_runtime.h"
 #include "scenarios/ats.h"
@@ -19,14 +22,17 @@ struct SweepParams {
   ReplicationProtocol protocol;
 };
 
-std::string sweep_name(const ::testing::TestParamInfo<SweepParams>& info) {
-  return "seed" + std::to_string(info.param.seed) + "_n" +
-         std::to_string(info.param.nodes) + "_" +
-         (info.param.protocol == ReplicationProtocol::PrimaryBackup ? "PB"
-          : info.param.protocol == ReplicationProtocol::PrimaryPartition
-              ? "P4"
-              : "AV");
+std::string sweep_label(const SweepParams& p) {
+  return "seed" + std::to_string(p.seed) + "_n" + std::to_string(p.nodes) +
+         "_" +
+         (p.protocol == ReplicationProtocol::PrimaryBackup      ? "PB"
+          : p.protocol == ReplicationProtocol::PrimaryPartition ? "P4"
+                                                                : "AV");
 }
+
+// Print a case by its label. Without this gtest prints the raw bytes of the
+// struct, padding included, so the listed test names would vary by build.
+void PrintTo(const SweepParams& p, std::ostream* os) { *os << sweep_label(p); }
 
 class RandomWorkload : public ::testing::TestWithParam<SweepParams> {
  protected:
@@ -147,7 +153,7 @@ INSTANTIATE_TEST_SUITE_P(
         SweepParams{6, 3, ReplicationProtocol::AdaptiveVoting},
         SweepParams{7, 5, ReplicationProtocol::PrimaryPartition},
         SweepParams{8, 5, ReplicationProtocol::AdaptiveVoting}),
-    sweep_name);
+    [](const auto& info) { return sweep_label(info.param); });
 
 // ---------------------------------------------------------------------------
 // ATS random workload: inter-object constraints under partitions
@@ -247,9 +253,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AtsRandomWorkload,
 class ThreatStoreProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ThreatStoreProperty, CountsConsistentUnderRandomOps) {
-  SimClock clock;
-  CostModel cost;
-  SimRuntime rt(clock, cost);
+  SimRuntime rt{CostModel{}};
   RecordStore db(rt);
   ThreatStore store(db);
   store.set_policy(GetParam() % 2 == 0 ? ThreatHistoryPolicy::IdenticalOnce

@@ -1,7 +1,9 @@
 // The pluggable execution runtime (docs/runtime.md): backend-equivalence
-// of a fault-free workload, the FeatureFlags fan-out through the cluster
-// layers, and the threaded backend's concurrency behavior (mailbox rounds,
-// nested serve, timers, kernel-lock smoke under concurrent clients).
+// of a fault-free workload, the ClusterConfig fan-out through the cluster
+// layers, the threaded backend's contract (no simulated substrate, so
+// fault injection is a typed error) and its concurrency behavior (mailbox
+// rounds, nested serve, timers, kernel-lock smoke under concurrent
+// clients).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,11 +13,16 @@
 #include <thread>
 #include <vector>
 
+#include "middleware/admin.h"
 #include "middleware/cluster.h"
+#include "middleware/metrics.h"
 #include "objects/entity.h"
+#include "runtime/sim_runtime.h"
 #include "runtime/threaded_runtime.h"
 #include "scenarios/evalapp.h"
 #include "scenarios/flight.h"
+#include "sim/fault_engine.h"
+#include "util/errors.h"
 #include "util/rng.h"
 
 namespace dedisys {
@@ -121,15 +128,15 @@ TEST(RuntimeEquivalence, SimBackendIsDeterministic) {
 }
 
 // ---------------------------------------------------------------------------
-// FeatureFlags fan-out
+// ClusterConfig fan-out
 // ---------------------------------------------------------------------------
 
-TEST(FeatureFlags, PropagateFromClusterConfigToEveryLayer) {
+TEST(ClusterConfig, PropagateFromClusterConfigToEveryLayer) {
   ClusterConfig cfg;
   cfg.nodes = 2;
-  cfg.flags.observability = true;
-  cfg.flags.trace_capacity = 128;
-  cfg.flags.validation_memo = true;
+  cfg.observability = true;
+  cfg.trace_capacity = 128;
+  cfg.validation_memo = true;
   Cluster cluster(cfg);
 
   EXPECT_TRUE(cluster.obs().enabled());
@@ -138,13 +145,67 @@ TEST(FeatureFlags, PropagateFromClusterConfigToEveryLayer) {
   EXPECT_TRUE(cluster.node(1).ccmgr().validation_memo());
 }
 
-TEST(FeatureFlags, ObservabilityIsForcedOffOnTheThreadedBackend) {
+TEST(ClusterConfig, ObservabilityIsForcedOffOnTheThreadedBackend) {
   ClusterConfig cfg;
   cfg.nodes = 2;
   cfg.backend = RuntimeBackend::Threaded;
-  cfg.flags.observability = true;  // ignored: the span stack is 1-threaded
+  cfg.observability = true;  // ignored: the span stack is 1-threaded
   Cluster cluster(cfg);
   EXPECT_FALSE(cluster.obs().enabled());
+}
+
+// ---------------------------------------------------------------------------
+// Threaded-backend contract: no simulated substrate
+// ---------------------------------------------------------------------------
+
+ClusterConfig threaded_config() {
+  ClusterConfig cfg;
+  cfg.nodes = 3;
+  cfg.backend = RuntimeBackend::Threaded;
+  return cfg;
+}
+
+TEST(ThreadedContract, SimOnlyEntryPointsThrowConfigError) {
+  Cluster cluster(threaded_config());
+  EXPECT_THROW(cluster.sim(), ConfigError);
+  EXPECT_THROW(cluster.inject(fault::Heal{}), ConfigError);
+  EXPECT_THROW(cluster.inject(fault::Restart{NodeId{1}}), ConfigError);
+  SimRuntime substrate{CostModel{}};
+  FaultEngine engine(substrate.network(), FaultPlan{});
+  EXPECT_THROW(cluster.adopt_fault_engine(engine), ConfigError);
+}
+
+TEST(ThreadedContract, CrashIsRejectedBeforeTouchingReplicas) {
+  Cluster cluster(threaded_config());
+  FlightBooking::define_classes(cluster.classes());
+  const ObjectId flight = FlightBooking::create_flight(cluster.node(0), 10);
+  ASSERT_TRUE(cluster.node(1).replication().has_local_replica(flight));
+  EXPECT_THROW(cluster.inject(fault::Crash{NodeId{1}}), ConfigError);
+  // The node keeps its replicas and keeps serving.
+  EXPECT_TRUE(cluster.node(1).replication().has_local_replica(flight));
+  FlightBooking::sell(cluster.node(1), flight, 1);
+  EXPECT_EQ(FlightBooking::sold(cluster.node(0), flight), 1);
+}
+
+TEST(ThreadedContract, MetricsReportZeroNetworkFaults) {
+  Cluster cluster(threaded_config());
+  FlightBooking::define_classes(cluster.classes());
+  const ObjectId flight = FlightBooking::create_flight(cluster.node(0), 10);
+  FlightBooking::sell(cluster.node(2), flight, 2);
+
+  const ClusterMetrics m = collect_metrics(cluster);
+  EXPECT_GT(m.faults.tx_commits, 0u);
+  EXPECT_EQ(m.faults.messages_dropped, 0u);
+  EXPECT_EQ(m.faults.messages_duplicated, 0u);
+  EXPECT_EQ(m.faults.messages_delayed, 0u);
+  EXPECT_EQ(m.faults.crashes, 0u);
+  EXPECT_EQ(m.faults.restarts, 0u);
+  ASSERT_EQ(m.nodes.size(), 3u);
+
+  AdminConsole admin(cluster);
+  const std::string json = admin.metrics_json();
+  EXPECT_NE(json.find("\"messages_dropped\": 0"), std::string::npos);
+  EXPECT_NE(json.find("\"crashes\": 0"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -210,10 +271,7 @@ TEST(ThreadedRuntimeUnit, NowAdvancesWithWallClock) {
 // ---------------------------------------------------------------------------
 
 TEST(ThreadedCluster, ConcurrentClientsOnDisjointObjectsAllCommit) {
-  ClusterConfig cfg;
-  cfg.nodes = 3;
-  cfg.backend = RuntimeBackend::Threaded;
-  Cluster cluster(cfg);
+  Cluster cluster(threaded_config());
   FlightBooking::define_classes(cluster.classes());
 
   std::vector<ObjectId> flights;
@@ -244,10 +302,7 @@ TEST(ThreadedCluster, ConcurrentClientsOnDisjointObjectsAllCommit) {
 // invalidates.  Under the TSan gate this also checks that the table is
 // only touched inside the kernel lock.
 TEST(ThreadedCluster, RedeployBetweenClientPhasesIsSeenByBothPhases) {
-  ClusterConfig cfg;
-  cfg.nodes = 3;
-  cfg.backend = RuntimeBackend::Threaded;
-  Cluster cluster(cfg);
+  Cluster cluster(threaded_config());
   FlightBooking::define_classes(cluster.classes());
   FlightBooking::register_constraints(cluster.constraints());
 

@@ -128,16 +128,16 @@ TEST(FailureScheduleTest, FiresAtVirtualTimes) {
       .crash_at(sim_sec(30), 2)
       .recover_at(sim_sec(40), 2);
 
-  cluster.sim().events.run_until(sim_sec(5));
+  cluster.sim().events().run_until(sim_sec(5));
   EXPECT_EQ(cluster.node(0).mode(), SystemMode::Healthy);
-  cluster.sim().events.run_until(sim_sec(15));
+  cluster.sim().events().run_until(sim_sec(15));
   EXPECT_EQ(cluster.node(0).mode(), SystemMode::Degraded);
-  cluster.sim().events.run_until(sim_sec(25));
+  cluster.sim().events().run_until(sim_sec(25));
   EXPECT_EQ(cluster.node(0).mode(), SystemMode::Reconciling);
-  cluster.sim().events.run_until(sim_sec(35));
-  EXPECT_FALSE(cluster.sim().network.is_alive(NodeId{2}));
-  cluster.sim().events.run_until(sim_sec(45));
-  EXPECT_TRUE(cluster.sim().network.is_alive(NodeId{2}));
+  cluster.sim().events().run_until(sim_sec(35));
+  EXPECT_FALSE(cluster.sim().network().is_alive(NodeId{2}));
+  cluster.sim().events().run_until(sim_sec(45));
+  EXPECT_TRUE(cluster.sim().network().is_alive(NodeId{2}));
 }
 
 }  // namespace

@@ -383,7 +383,7 @@ TEST(FrontDoor, ShedCountersSurfaceInMetricsJsonAndPrometheus) {
   cfg.nodes = 4;
   cfg.shards = 2;
   cfg.shard_policy = policy;
-  cfg.flags.observability = true;
+  cfg.observability = true;
   Cluster cluster(cfg);
   EvalApp::define_classes(cluster.classes());
   const ObjectId target = create_on_shard(cluster, 0);
@@ -431,7 +431,7 @@ TEST(FrontDoor, SheddingEmitsAdmissionTraceEvents) {
   ClusterConfig cfg;
   cfg.nodes = 2;
   cfg.shards = 1;
-  cfg.flags.observability = true;
+  cfg.observability = true;
   Cluster cluster(cfg);
   EvalApp::define_classes(cluster.classes());
 

@@ -527,7 +527,7 @@ class TracedClusterTest : public ::testing::Test {
  protected:
   TracedClusterTest() {
     cfg_.nodes = 3;
-    cfg_.flags.observability = true;
+    cfg_.observability = true;
     cluster_ = std::make_unique<Cluster>(cfg_);
     EvalApp::define_classes(cluster_->classes());
     EvalApp::register_constraints(cluster_->constraints());
@@ -839,11 +839,11 @@ TEST(SpanPropagation, TracingInvariantUnderGrayFaults) {
 
     ClusterConfig cfg;
     cfg.nodes = 3;
-    cfg.flags.observability = observability;
+    cfg.observability = observability;
     Cluster cluster(cfg);
     EvalApp::define_classes(cluster.classes());
     EvalApp::register_constraints(cluster.constraints());
-    FaultEngine engine(cluster.sim().network, random_gray_plan(4242, popt));
+    FaultEngine engine(cluster.sim().network(), random_gray_plan(4242, popt));
     cluster.adopt_fault_engine(engine);
 
     const auto ids = EvalApp::create_entities(cluster.node(0), 3);
@@ -860,7 +860,7 @@ TEST(SpanPropagation, TracingInvariantUnderGrayFaults) {
     while (!engine.done()) engine.advance_to(engine.next_at());
     cluster.inject(fault::Heal{});
     cluster.reconcile();
-    return cluster.sim().clock.now();
+    return cluster.runtime().now();
   };
   // Gray faults, retries and backup applies traced or not: the simulated
   // clock lands on the same stamp.
@@ -885,7 +885,7 @@ TEST(TraceDisabled, TracingDoesNotChangeSimulatedTime) {
   const auto run = [](bool observability) {
     ClusterConfig cfg;
     cfg.nodes = 3;
-    cfg.flags.observability = observability;
+    cfg.observability = observability;
     Cluster cluster(cfg);
     EvalApp::define_classes(cluster.classes());
     EvalApp::register_constraints(cluster.constraints());
@@ -899,7 +899,7 @@ TEST(TraceDisabled, TracingDoesNotChangeSimulatedTime) {
                                std::make_shared<AcceptAllNegotiation>());
     cluster.inject(fault::Heal{});
     cluster.reconcile();
-    return cluster.sim().clock.now();
+    return cluster.runtime().now();
   };
   // Deterministic simulation: recording costs zero simulated time.
   EXPECT_EQ(run(false), run(true));
@@ -914,7 +914,7 @@ TEST(TraceDisabled, TracingDoesNotChangeOutcomesOfSeededBookingRun) {
   const auto run = [](bool observability) {
     ClusterConfig cfg;
     cfg.nodes = 3;
-    cfg.flags.observability = observability;
+    cfg.observability = observability;
     Cluster cluster(cfg);
     FlightBooking::define_classes(cluster.classes());
     FlightBooking::register_constraints(cluster.constraints());
@@ -944,7 +944,7 @@ TEST(TraceDisabled, TracingDoesNotChangeOutcomesOfSeededBookingRun) {
           row += e.what();
         }
         row += " @";
-        row += std::to_string(cluster.sim().clock.now());
+        row += std::to_string(cluster.runtime().now());
         log.push_back(row);
       }
     };
@@ -964,7 +964,7 @@ TEST(TraceDisabled, TracingDoesNotChangeOutcomesOfSeededBookingRun) {
                                                 .get("soldTickets"))));
       }
     }
-    log.push_back("clock " + std::to_string(cluster.sim().clock.now()));
+    log.push_back("clock " + std::to_string(cluster.runtime().now()));
     return log;
   };
   const std::vector<std::string> untraced = run(false);

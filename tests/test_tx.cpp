@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "runtime/sim_runtime.h"
 #include "tx/tx_manager.h"
 
@@ -30,9 +32,8 @@ class TxTest : public ::testing::Test {
  protected:
   TxTest() : tm_(rt_) {}
 
-  SimClock clock_;
   CostModel cost_;
-  SimRuntime rt_{clock_, cost_};
+  SimRuntime rt_{cost_};
   TransactionManager tm_;
 };
 
@@ -95,6 +96,25 @@ TEST_F(TxTest, UndoActionsDoNotRunOnCommit) {
   EXPECT_FALSE(undone);
 }
 
+TEST_F(TxTest, CommitReleasesUndoClosures) {
+  // What an undo closure captures (an entity snapshot in the middleware)
+  // must not outlive a successful commit.
+  auto captured = std::make_shared<int>(7);
+  const TxId committed = tm_.begin();
+  tm_.on_rollback(committed, [captured] { (void)captured; });
+  EXPECT_EQ(captured.use_count(), 2);
+  tm_.commit(committed);
+  EXPECT_EQ(captured.use_count(), 1);
+
+  // The same closure shape still runs when the transaction rolls back.
+  int restored = 0;
+  const TxId aborted = tm_.begin();
+  tm_.on_rollback(aborted, [captured, &restored] { restored = *captured; });
+  tm_.rollback(aborted);
+  EXPECT_EQ(restored, 7);
+  EXPECT_EQ(captured.use_count(), 1);
+}
+
 TEST_F(TxTest, PostCommitActionsRunOnlyAfterCommit) {
   int ran = 0;
   const TxId tx = tm_.begin();
@@ -153,10 +173,10 @@ TEST_F(TxTest, CommitChargesPerResource) {
   const TxId tx = tm_.begin();
   tm_.enlist(tx, &r1);
   tm_.enlist(tx, &r2);
-  const SimTime t0 = clock_.now();
+  const SimTime t0 = rt_.now();
   tm_.commit(tx);
   // 2 resources x (prepare + commit) rounds.
-  EXPECT_EQ(clock_.now() - t0, 4 * cost_.tx_commit_per_resource);
+  EXPECT_EQ(rt_.now() - t0, 4 * cost_.tx_commit_per_resource);
 }
 
 TEST_F(TxTest, TxScopeRollsBackWhenNotCommitted) {
