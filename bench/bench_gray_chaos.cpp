@@ -17,7 +17,9 @@
 //               to exactly the culprit action, and a real-run predicate
 //               (node 1 installs an incomplete view) must shrink to <= 3
 //               ops
-//   --corpus D  replay every *.plan file in D through the checker
+//   --corpus D  replay every *.plan file in D through the checker; a
+//               missing or plan-less D exits 2, a plan that fails to parse
+//               or run counts as a violation
 //   --timeline  print the trace timeline of one gray run (determinism
 //               diffing in check.sh --gray)
 #include <cstdint>
@@ -28,6 +30,7 @@
 #include <string>
 
 #include "scenarios/invariants.h"
+#include "util/errors.h"
 
 namespace {
 
@@ -51,8 +54,9 @@ int usage(const char* argv0) {
 void print_failures(const scenarios::PropertySuiteResult& result) {
   for (const auto& failure : result.failures) {
     std::cerr << "PROPERTY VIOLATION seed=" << failure.seed << ": "
-              << failure.violation << "\n"
-              << "  original plan: " << failure.plan.size() << " ops, shrunk: "
+              << failure.violation << "\n";
+    if (failure.plan.actions.empty()) continue;  // the plan never parsed
+    std::cerr << "  original plan: " << failure.plan.size() << " ops, shrunk: "
               << failure.shrunk.size() << " ops\n"
               << dedisys::plan_to_text(failure.shrunk);
   }
@@ -201,8 +205,13 @@ int main(int argc, char** argv) {
   }
 
   if (!corpus_dir.empty()) {
-    const scenarios::PropertySuiteResult result =
-        scenarios::run_corpus(corpus_dir, options.chaos);
+    scenarios::PropertySuiteResult result;
+    try {
+      result = scenarios::run_corpus(corpus_dir, options.chaos);
+    } catch (const dedisys::ConfigError& e) {
+      std::cerr << "corpus: " << e.what() << '\n';
+      return 2;
+    }
     std::cerr << "corpus: " << result.plans_checked << " plan(s) checked, "
               << result.failures.size() << " violation(s)\n";
     print_failures(result);

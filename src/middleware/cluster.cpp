@@ -94,6 +94,17 @@ DedisysNode* Cluster::node_by_id(NodeId id) {
   return nullptr;
 }
 
+DedisysNode& Cluster::fault_target(NodeId id) {
+  sim();  // throws on the threaded backend before any state changes
+  DedisysNode* n = node_by_id(id);
+  if (n == nullptr) {
+    throw ConfigError("fault targets node " + to_string(id) +
+                      ", which this " + std::to_string(nodes_.size()) +
+                      "-node cluster lacks");
+  }
+  return *n;
+}
+
 void Cluster::inject(const fault::Op& op) {
   SimNetwork& network = sim().network();
   std::visit(
@@ -104,11 +115,7 @@ void Cluster::inject(const fault::Op& op) {
         } else if constexpr (std::is_same_v<T, fault::Heal>) {
           do_heal();
         } else if constexpr (std::is_same_v<T, fault::Crash>) {
-          if (DedisysNode* n = node_by_id(o.node)) {
-            do_crash(*n);
-          } else {
-            network.apply(o);
-          }
+          do_crash(fault_target(o.node));
         } else if constexpr (std::is_same_v<T, fault::Restart>) {
           inject(o);
         } else {
@@ -120,9 +127,7 @@ void Cluster::inject(const fault::Op& op) {
 }
 
 std::size_t Cluster::inject(const fault::Restart& op) {
-  if (DedisysNode* n = node_by_id(op.node)) return do_restart(*n);
-  sim().network().apply(op);
-  return 0;
+  return do_restart(fault_target(op.node));
 }
 
 void Cluster::split_ids(std::vector<std::vector<NodeId>> node_groups) {
@@ -224,14 +229,7 @@ std::size_t Cluster::do_restart(DedisysNode& n) {
 void Cluster::adopt_fault_engine(FaultEngine& engine) {
   sim();  // throws on the threaded backend: faults are sim-only
   engine.set_observability(&obs_);
-  engine.set_crash_handler([this](NodeId id) { inject(fault::Crash{id}); });
-  engine.set_restart_handler(
-      [this](NodeId id) { inject(fault::Restart{id}); });
-  engine.set_partition_handler(
-      [this](const std::vector<std::vector<NodeId>>& groups) {
-        inject(fault::Partition{groups});
-      });
-  engine.set_heal_handler([this] { inject(fault::Heal{}); });
+  engine.route_through([this](const fault::Op& op) { inject(op); });
 }
 
 Cluster::ReconciliationReport Cluster::reconcile(

@@ -148,21 +148,22 @@ class Cluster {
 
   // -- failure injection ----------------------------------------------------------
 
-  /// Applies one typed fault operation, routing node-lifecycle ops through
-  /// the full middleware path (crash drops volatile replica state, restart
+  /// The one way a fault reaches the cluster (scripts and wired fault
+  /// engines come through here too).  Node-lifecycle ops take the full
+  /// middleware path: a crash drops volatile replica state, a restart
   /// recovers in-doubt transactions and rebuilds replicas, partitions are
-  /// recorded for reconciliation and traced) and everything else straight
-  /// to the sim network — the same dispatch a wired FaultEngine uses.
-  /// Throws ConfigError on the threaded backend, before any state changes.
+  /// recorded for reconciliation and traced; everything else goes straight
+  /// to the sim network.  Throws ConfigError, before any state changes, on
+  /// the threaded backend and for a crash or restart of a node this
+  /// cluster lacks.
   void inject(const fault::Op& op);
 
   /// Restart overload: returns the number of replicas rebuilt.
   std::size_t inject(const fault::Restart& op);
 
-  /// Wires a fault engine to this cluster: its crash, restart, partition
-  /// and heal actions route through inject(), and its trace events land in
-  /// this cluster's observability hub.  Throws ConfigError on the threaded
-  /// backend.
+  /// Wires a fault engine to this cluster: every action it applies is
+  /// routed through inject(), and its trace events land in this cluster's
+  /// observability hub.  Throws ConfigError on the threaded backend.
   void adopt_fault_engine(FaultEngine& engine);
 
   // -- reconciliation (Section 4.4) -------------------------------------------------
@@ -184,6 +185,10 @@ class Cluster {
       std::size_t coordinator = 0);
 
  private:
+  /// The node a crash or restart names; throws ConfigError on the
+  /// threaded backend or when no node has that id.
+  DedisysNode& fault_target(NodeId id);
+
   /// Typed-op implementations behind inject().  A partition records its
   /// groups for reconciliation and traces the split.
   void split_ids(std::vector<std::vector<NodeId>> node_groups);

@@ -6,6 +6,8 @@
 #include <sstream>
 #include <string>
 
+#include "util/errors.h"
+
 namespace dedisys::scenarios {
 
 namespace {
@@ -148,33 +150,48 @@ PropertySuiteResult run_property_suite(const PropertySuiteOptions& options) {
   return out;
 }
 
+std::vector<std::string> corpus_files(const std::string& dir) {
+  std::error_code ec;
+  std::filesystem::directory_iterator it(dir, ec);
+  if (ec) throw ConfigError("corpus " + dir + ": " + ec.message());
+  std::vector<std::string> files;
+  for (const auto& entry : it) {
+    if (entry.path().extension() == ".plan") {
+      files.push_back(entry.path().string());
+    }
+  }
+  if (files.empty()) throw ConfigError("corpus " + dir + ": no .plan file");
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+FaultPlan read_corpus_plan(const std::string& file) {
+  std::ifstream in(file);
+  if (!in) throw ConfigError("cannot read " + file);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return plan_from_text(buffer.str());
+}
+
 PropertySuiteResult run_corpus(const std::string& dir,
                                const ChaosOptions& options) {
   PropertySuiteResult out;
-  std::error_code ec;
-  std::vector<std::filesystem::path> files;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    if (entry.path().extension() == ".plan") files.push_back(entry.path());
-  }
-  std::sort(files.begin(), files.end());
-
-  for (const auto& path : files) {
-    std::ifstream in(path);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    const FaultPlan plan = plan_from_text(buffer.str());
-
-    ChaosOptions chaos = options;
-    chaos.seed = plan.seed;
-    PlanVerdict verdict = check_plan(plan, chaos);
+  for (const std::string& file : corpus_files(dir)) {
+    const std::string name = std::filesystem::path(file).filename().string();
     ++out.plans_checked;
-    if (verdict.ok()) continue;
-
     PropertyFailure failure;
-    failure.seed = plan.seed;
-    failure.violation = path.filename().string() + ": " + verdict.violation;
-    failure.plan = plan;
-    failure.shrunk = plan;
+    try {
+      failure.plan = read_corpus_plan(file);
+      failure.seed = failure.plan.seed;
+      ChaosOptions chaos = options;
+      chaos.seed = failure.plan.seed;
+      const PlanVerdict verdict = check_plan(failure.plan, chaos);
+      if (verdict.ok()) continue;
+      failure.violation = name + ": " + verdict.violation;
+    } catch (const std::exception& e) {
+      failure.violation = name + ": " + e.what();
+    }
+    failure.shrunk = failure.plan;
     out.failures.push_back(std::move(failure));
   }
   return out;

@@ -95,9 +95,19 @@ struct PropertySuiteResult {
 [[nodiscard]] PropertySuiteResult run_property_suite(
     const PropertySuiteOptions& options);
 
-/// Replays every `*.plan` file in `dir` (tests/gray_corpus) through
-/// `check_plan`, returning the violations.  Each file is a plan_to_text
-/// serialization; a missing or empty directory yields an empty result.
+/// Lists the `*.plan` files of a regression corpus (tests/gray_corpus),
+/// sorted by name.  Throws ConfigError when `dir` is missing or holds no
+/// plan file, so a moved corpus cannot pass vacuously.
+[[nodiscard]] std::vector<std::string> corpus_files(const std::string& dir);
+
+/// Reads one corpus file (a plan_to_text serialization); throws
+/// ConfigError when it cannot be read or parsed.
+[[nodiscard]] FaultPlan read_corpus_plan(const std::string& file);
+
+/// Replays every corpus plan through `check_plan`, returning the
+/// violations.  A plan that fails to parse or to run (one naming a node
+/// the cluster lacks, say) is a violation naming its file.  Throws as
+/// `corpus_files` does.
 [[nodiscard]] PropertySuiteResult run_corpus(const std::string& dir,
                                              const ChaosOptions& options);
 

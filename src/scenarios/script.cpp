@@ -1,5 +1,6 @@
 #include "scenarios/script.h"
 
+#include <charconv>
 #include <sstream>
 
 #include "constraints/negotiation.h"
@@ -23,33 +24,56 @@ class ScriptNegotiation final : public NegotiationHandler {
   bool accept_;
 };
 
-std::vector<std::vector<std::size_t>> parse_groups(const std::string& spec) {
+[[noreturn]] void bad_line(std::size_t line, const std::string& what) {
+  throw ConfigError("script line " + std::to_string(line) + ": " + what);
+}
+
+/// Parses the whole of `word` as a T; anything else (trailing junk, a sign
+/// on an unsigned, overflow) is a ConfigError naming the line.
+template <typename T>
+T to_number(const std::string& word, std::size_t line) {
+  T value{};
+  const char* end = word.data() + word.size();
+  const auto [ptr, ec] = std::from_chars(word.data(), end, value);
+  if (ec != std::errc{} || ptr != end) {
+    bad_line(line, "expected a number, got '" + word + "'");
+  }
+  return value;
+}
+
+std::size_t to_count(const std::string& word, std::size_t line) {
+  return to_number<std::size_t>(word, line);
+}
+
+/// The one node-index check, shared by `node`, `crash`, `recover` and the
+/// groups of `split`.
+std::size_t to_node(const std::string& word, std::size_t line,
+                    std::size_t nodes) {
+  const std::size_t index = to_count(word, line);
+  if (index >= nodes) bad_line(line, "no node " + word);
+  return index;
+}
+
+std::vector<std::vector<std::size_t>> parse_groups(const std::string& spec,
+                                                   std::size_t line,
+                                                   std::size_t nodes) {
   std::vector<std::vector<std::size_t>> groups;
   for (const std::string& group : split(spec, '|')) {
-    std::vector<std::size_t> nodes;
+    std::vector<std::size_t> members;
     for (const std::string& n : split(group, ',')) {
-      nodes.push_back(std::stoul(n));
+      members.push_back(to_node(n, line, nodes));
     }
-    groups.push_back(std::move(nodes));
+    groups.push_back(std::move(members));
   }
   return groups;
 }
 
-std::size_t to_count(const std::string& word, std::size_t line) {
-  try {
-    return std::stoul(word);
-  } catch (const std::exception&) {
-    throw ConfigError("script line " + std::to_string(line) +
-                      ": expected a number, got '" + word + "'");
-  }
-}
-
 /// Best-effort argument boxing: integers stay integers, everything else is
-/// a string.
-Value parse_arg(const std::string& word) {
+/// a string.  A word made only of digits and '-' must be a valid int64.
+Value parse_arg(const std::string& word, std::size_t line) {
   if (!word.empty() &&
       word.find_first_not_of("-0123456789") == std::string::npos) {
-    return Value{static_cast<std::int64_t>(std::stoll(word))};
+    return Value{to_number<std::int64_t>(word, line)};
   }
   return Value{word};
 }
@@ -104,8 +128,8 @@ void ScriptRunner::execute(const std::vector<std::string>& words,
   const std::string& cmd = words.front();
   const auto need = [&](std::size_t n) {
     if (words.size() < n + 1) {
-      throw ConfigError("script line " + std::to_string(line) + ": '" + cmd +
-                        "' needs " + std::to_string(n) + " argument(s)");
+      bad_line(line, "'" + cmd + "' needs " + std::to_string(n) +
+                         " argument(s)");
     }
   };
 
@@ -116,11 +140,7 @@ void ScriptRunner::execute(const std::vector<std::string>& words,
 
   if (cmd == "node") {
     need(1);
-    acting_ = to_count(words[1], line);
-    if (acting_ >= cluster_->size()) {
-      throw ConfigError("script line " + std::to_string(line) +
-                        ": no node " + words[1]);
-    }
+    acting_ = to_node(words[1], line, cluster_->size());
   } else if (cmd == "create") {
     need(2);
     const std::size_t n = to_count(words[2], line);
@@ -138,7 +158,7 @@ void ScriptRunner::execute(const std::vector<std::string>& words,
     const std::size_t n = to_count(words[2], line);
     std::vector<Value> args;
     for (std::size_t i = 3; i < words.size(); ++i) {
-      args.push_back(parse_arg(words[i]));
+      args.push_back(parse_arg(words[i], line));
     }
     run_invocations(words[1], n, std::move(args), report);
     result.ops = n;
@@ -161,22 +181,22 @@ void ScriptRunner::execute(const std::vector<std::string>& words,
     } else if (words[1] == "static") {
       negotiation_ = Negotiation::Static;
     } else {
-      throw ConfigError("script line " + std::to_string(line) +
-                        ": unknown negotiation mode " + words[1]);
+      bad_line(line, "unknown negotiation mode " + words[1]);
     }
   } else if (cmd == "split") {
     need(1);
-    cluster_->inject(fault::split_indices(parse_groups(words[1])));
+    cluster_->inject(fault::split_indices(
+        parse_groups(words[1], line, cluster_->size())));
   } else if (cmd == "heal") {
     cluster_->inject(fault::Heal{});
   } else if (cmd == "crash") {
     need(1);
-    cluster_->sim().network().apply(
-        fault::Crash{cluster_->node(to_count(words[1], line)).id()});
+    cluster_->inject(fault::Crash{
+        cluster_->node(to_node(words[1], line, cluster_->size())).id()});
   } else if (cmd == "recover") {
     need(1);
-    cluster_->sim().network().apply(
-        fault::Restart{cluster_->node(to_count(words[1], line)).id()});
+    cluster_->inject(fault::Restart{
+        cluster_->node(to_node(words[1], line, cluster_->size())).id()});
   } else if (cmd == "reconcile") {
     (void)cluster_->reconcile();
   } else if (cmd == "expect-threats") {
@@ -199,62 +219,23 @@ void ScriptRunner::execute(const std::vector<std::string>& words,
     need(3);
     const std::size_t index = to_count(words[1], line);
     if (index >= working_set_.size()) {
-      throw ConfigError("script line " + std::to_string(line) +
-                        ": working-set index out of range");
+      bad_line(line, "working-set index out of range");
     }
     const Entity& entity =
         acting_node().replication().local_replica(working_set_[index]);
     const std::string actual = to_string(entity.get(words[2]));
-    const std::string expected = to_string(parse_arg(words[3]));
+    const std::string expected = to_string(parse_arg(words[3], line));
     if (actual != expected) {
       throw DedisysError("script line " + std::to_string(line) +
                          ": expected " + words[2] + "=" + expected +
                          ", found " + actual);
     }
   } else {
-    throw ConfigError("script line " + std::to_string(line) +
-                      ": unknown command '" + cmd + "'");
+    bad_line(line, "unknown command '" + cmd + "'");
   }
 
   result.elapsed = cluster_->runtime().now() - start;
   report.commands.push_back(std::move(result));
-}
-
-// ---------------------------------------------------------------------------
-// FailureSchedule
-// ---------------------------------------------------------------------------
-
-FailureSchedule& FailureSchedule::split_at(
-    SimTime when, std::vector<std::vector<std::size_t>> groups) {
-  Cluster* cluster = cluster_;
-  cluster_->sim().events().schedule_at(
-      when, [cluster, groups = std::move(groups)] {
-        cluster->inject(fault::split_indices(groups));
-      });
-  return *this;
-}
-
-FailureSchedule& FailureSchedule::heal_at(SimTime when) {
-  Cluster* cluster = cluster_;
-  cluster_->sim().events().schedule_at(
-      when, [cluster] { cluster->inject(fault::Heal{}); });
-  return *this;
-}
-
-FailureSchedule& FailureSchedule::crash_at(SimTime when, std::size_t node) {
-  Cluster* cluster = cluster_;
-  cluster_->sim().events().schedule_at(when, [cluster, node] {
-    cluster->sim().network().apply(fault::Crash{cluster->node(node).id()});
-  });
-  return *this;
-}
-
-FailureSchedule& FailureSchedule::recover_at(SimTime when, std::size_t node) {
-  Cluster* cluster = cluster_;
-  cluster_->sim().events().schedule_at(when, [cluster, node] {
-    cluster->sim().network().apply(fault::Restart{cluster->node(node).id()});
-  });
-  return *this;
 }
 
 }  // namespace dedisys::scenarios

@@ -1,5 +1,6 @@
 // Script-based test application (the "DedisysTest" driver of Section 5.1,
-// [Ke07]) plus a virtual-time failure schedule.
+// [Ke07]).  Timed fault schedules are `FaultPlan`s driven by a
+// `FaultEngine` (sim/fault_engine.h) wired with `Cluster::adopt_fault_engine`.
 //
 // "In order to ensure repeatability of the tests, we used the script-based
 // DedisysTest application" — workloads, failure injection and assertions
@@ -13,14 +14,18 @@
 //   negotiate accept             dynamic accept-all | reject | static
 //   split 0,1|2                  inject a partition
 //   heal                         repair all links
-//   crash 2 / recover 2          node pause-crash / recovery
+//   crash 2 / recover 2          node pause-crash (drops its volatile
+//                                replicas) / restart (in-doubt recovery
+//                                and replica rebuild by state transfer)
 //   reconcile                    run both reconciliation phases
 //   delete                       delete the working set
 //   expect-threats 1             assert stored threat identities
 //   expect-mode degraded         assert acting node's system mode
 //   expect-attr <i> attr value   assert attribute of working-set object i
 //
-// Every workload command reports ops per simulated second.
+// Every workload command reports ops per simulated second.  Every fault
+// command goes through `Cluster::inject`; a node index (in `node`, `crash`,
+// `recover` or a `split` group) must name a node of the cluster.
 #pragma once
 
 #include <cstddef>
@@ -54,8 +59,8 @@ class ScriptRunner {
  public:
   explicit ScriptRunner(Cluster& cluster) : cluster_(&cluster) {}
 
-  /// Executes the script; throws ConfigError on syntax errors and
-  /// DedisysError on failed expect-* assertions.
+  /// Executes the script; throws ConfigError naming the line on syntax
+  /// errors and DedisysError on failed expect-* assertions.
   ScriptReport run(const std::string& script);
 
  private:
@@ -71,22 +76,6 @@ class ScriptRunner {
   std::size_t acting_ = 0;
   Negotiation negotiation_ = Negotiation::Static;
   std::vector<ObjectId> working_set_;
-};
-
-/// Time-driven failure injection: failures fire at virtual timestamps
-/// through the cluster's event queue (deterministic fault schedules).
-class FailureSchedule {
- public:
-  explicit FailureSchedule(Cluster& cluster) : cluster_(&cluster) {}
-
-  FailureSchedule& split_at(SimTime when,
-                            std::vector<std::vector<std::size_t>> groups);
-  FailureSchedule& heal_at(SimTime when);
-  FailureSchedule& crash_at(SimTime when, std::size_t node);
-  FailureSchedule& recover_at(SimTime when, std::size_t node);
-
- private:
-  Cluster* cluster_;
 };
 
 }  // namespace dedisys::scenarios

@@ -615,72 +615,30 @@ SimTime FaultEngine::next_at() const {
 // `plan_.actions` mid-visit, which would invalidate a reference into it.
 void FaultEngine::apply_one(TimedFault action) {
   ++stats_.applied;
-  struct Applier {
-    FaultEngine* e;
-    void operator()(const fault::Partition& op) {
-      ++e->stats_.partitions;
-      if (e->partition_handler_) {
-        e->partition_handler_(op.groups);
-      } else {
-        e->net_.apply(op);
-      }
-    }
-    void operator()(const fault::Heal& op) {
-      ++e->stats_.heals;
-      if (e->heal_handler_) {
-        e->heal_handler_();
-      } else {
-        e->net_.apply(op);
-      }
-    }
-    void operator()(const fault::Crash& op) {
-      ++e->stats_.crashes;
-      if (e->crash_handler_) {
-        e->crash_handler_(op.node);
-      } else {
-        e->net_.apply(op);
-      }
-    }
-    void operator()(const fault::Restart& op) {
-      ++e->stats_.restarts;
-      if (e->restart_handler_) {
-        e->restart_handler_(op.node);
-      } else {
-        e->net_.apply(op);
-      }
-    }
-    void operator()(const fault::SetLinkFaults& op) {
-      ++e->stats_.link_changes;
-      e->net_.apply(op);
-    }
-    void operator()(const fault::SetLinkFaultsOn& op) {
-      ++e->stats_.link_changes;
-      e->net_.apply(op);
-    }
-    void operator()(const fault::AsymPartition& op) {
-      ++e->stats_.asym_cuts;
-      e->net_.apply(op);
-    }
-    void operator()(const fault::HealLinks& op) {
-      ++e->stats_.link_changes;
-      e->net_.apply(op);
-    }
-    void operator()(const fault::Flap& op) {
-      ++e->stats_.flaps;
-      e->net_.apply(op);  // immediate down phase
-      e->schedule_flap(at, op);
-    }
-    void operator()(const fault::SlowNode& op) {
-      ++e->stats_.slow_changes;
-      e->net_.apply(op);
-    }
-    void operator()(const fault::ClockSkew& op) {
-      ++e->stats_.skew_changes;
-      e->net_.apply(op);
-    }
-    SimTime at;
+  struct Counter {
+    Stats& s;
+    void operator()(const fault::Partition&) { ++s.partitions; }
+    void operator()(const fault::Heal&) { ++s.heals; }
+    void operator()(const fault::Crash&) { ++s.crashes; }
+    void operator()(const fault::Restart&) { ++s.restarts; }
+    void operator()(const fault::SetLinkFaults&) { ++s.link_changes; }
+    void operator()(const fault::SetLinkFaultsOn&) { ++s.link_changes; }
+    void operator()(const fault::AsymPartition&) { ++s.asym_cuts; }
+    void operator()(const fault::HealLinks&) { ++s.link_changes; }
+    void operator()(const fault::Flap&) { ++s.flaps; }
+    void operator()(const fault::SlowNode&) { ++s.slow_changes; }
+    void operator()(const fault::ClockSkew&) { ++s.skew_changes; }
   };
-  std::visit(Applier{this, action.at}, action.op);
+  std::visit(Counter{stats_}, action.op);
+  if (router_) {
+    router_(action.op);
+  } else {
+    net_.apply(action.op);
+  }
+  // A flap's op was its immediate down phase; the rest are pending toggles.
+  if (const auto* flap = std::get_if<fault::Flap>(&action.op)) {
+    schedule_flap(action.at, *flap);
+  }
   if (obs::on(obs_)) {
     obs_->event(net_.clock().now(), obs::TraceEventKind::FaultInjected, {}, {},
                 {}, fault::op_name(action.op), fault::describe(action.op));

@@ -2,11 +2,12 @@
 //
 // Drives a `FaultPlan` against a `SimNetwork`: as the simulated clock
 // advances, `poll()` applies every fault action whose scheduled time has
-// been reached, in plan order.  Crash and restart actions can be routed
-// through caller-supplied handlers (the cluster wires these so a restart
-// performs GMS rejoin plus durable-state recovery); all other actions go
-// straight to the network.  Each applied action is recorded as a
-// `fault.injected` trace event when an observability hub is attached.
+// been reached, in plan order.  Every action goes to one router when one
+// is set (`Cluster::adopt_fault_engine` routes them through
+// `Cluster::inject`, so a crash drops volatile state and a restart runs
+// durable-state recovery) and straight to the network otherwise.  Each
+// applied action is recorded as a `fault.injected` trace event when an
+// observability hub is attached.
 //
 // Determinism: the engine seeds the network's per-message fault generator
 // from the plan's seed on construction, and the plan itself is applied at
@@ -50,28 +51,10 @@ class FaultEngine {
   /// Wires the observability hub for fault.injected trace events.
   void set_observability(obs::Observability* obs) { obs_ = obs; }
 
-  /// Routes `fault::Crash` actions through `handler` instead of applying
-  /// them directly (the cluster drops the node's volatile state too).
-  void set_crash_handler(std::function<void(NodeId)> handler) {
-    crash_handler_ = std::move(handler);
-  }
-
-  /// Routes `fault::Restart` actions through `handler` (the cluster
-  /// performs GMS rejoin and durable-state recovery).
-  void set_restart_handler(std::function<void(NodeId)> handler) {
-    restart_handler_ = std::move(handler);
-  }
-
-  /// Routes `fault::Partition` actions through `handler` (the cluster
-  /// records the groups for reconciliation and traces the split).
-  void set_partition_handler(
-      std::function<void(const std::vector<std::vector<NodeId>>&)> handler) {
-    partition_handler_ = std::move(handler);
-  }
-
-  /// Routes `fault::Heal` actions through `handler`.
-  void set_heal_handler(std::function<void()> handler) {
-    heal_handler_ = std::move(handler);
+  /// Routes every applied op (flap toggles included) through `router`
+  /// instead of applying it to the network directly.
+  void route_through(std::function<void(const fault::Op&)> router) {
+    router_ = std::move(router);
   }
 
   /// Applies every action scheduled at or before the current virtual time;
@@ -109,11 +92,7 @@ class FaultEngine {
   std::size_t next_ = 0;
   Rng flap_rng_{0};
   obs::Observability* obs_ = nullptr;
-  std::function<void(NodeId)> crash_handler_;
-  std::function<void(NodeId)> restart_handler_;
-  std::function<void(const std::vector<std::vector<NodeId>>&)>
-      partition_handler_;
-  std::function<void()> heal_handler_;
+  std::function<void(const fault::Op&)> router_;
   Stats stats_;
 };
 

@@ -335,13 +335,15 @@ TEST(CrashRecovery, CrashedNodeTreatedAsPartitionThenRecovers) {
   const ObjectId flight = FlightBooking::create_flight(n0, 80);
   FlightBooking::sell(n0, flight, 10);
 
-  cluster.sim().network().apply(fault::Crash{NodeId{2}});
+  cluster.inject(fault::Crash{NodeId{2}});
   EXPECT_EQ(n0.mode(), SystemMode::Degraded);
+  // The pause-crash lost node 2's volatile replicas.
+  EXPECT_FALSE(cluster.node(2).replication().has_local_replica(flight));
   // Work continues; threats arise because node 2 might be a partition.
   FlightBooking::sell(n0, flight, 5);
   EXPECT_EQ(cluster.threats().identity_count(), 1u);
 
-  cluster.sim().network().apply(fault::Restart{NodeId{2}});
+  cluster.inject(fault::Restart{NodeId{2}});
   EXPECT_EQ(n0.mode(), SystemMode::Reconciling);
   const auto report = cluster.reconcile();
   EXPECT_EQ(report.replica.conflicts, 0u);  // it was a crash, not a split
@@ -353,6 +355,31 @@ TEST(CrashRecovery, CrashedNodeTreatedAsPartitionThenRecovers) {
                        .get("soldTickets")),
             15);
   EXPECT_EQ(n0.mode(), SystemMode::Healthy);
+}
+
+TEST(CrashRecovery, InjectRejectsNodesTheClusterLacks) {
+  ClusterConfig cfg;
+  cfg.nodes = 3;
+  Cluster cluster(cfg);
+  FlightBooking::define_classes(cluster.classes());
+  FlightBooking::register_constraints(cluster.constraints());
+  const ObjectId flight = FlightBooking::create_flight(cluster.node(0), 80);
+  const Topology before = cluster.sim().network().topology();
+
+  EXPECT_THROW(cluster.inject(fault::Crash{NodeId{9}}), ConfigError);
+  EXPECT_THROW(cluster.inject(fault::Restart{NodeId{9}}), ConfigError);
+  EXPECT_THROW(cluster.inject(fault::Op{fault::Restart{NodeId{9}}}),
+               ConfigError);
+
+  const Topology after = cluster.sim().network().topology();
+  EXPECT_EQ(after.alive, before.alive);
+  EXPECT_EQ(after.group_of, before.group_of);
+  EXPECT_EQ(cluster.sim().network().fault_stats().crashes, 0u);
+  EXPECT_EQ(cluster.sim().network().fault_stats().restarts, 0u);
+  for (std::size_t i = 0; i < cluster.size(); ++i) {
+    EXPECT_EQ(cluster.node(i).mode(), SystemMode::Healthy);
+    EXPECT_TRUE(cluster.node(i).replication().has_local_replica(flight));
+  }
 }
 
 // ---------------------------------------------------------------------------

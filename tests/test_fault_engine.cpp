@@ -154,22 +154,26 @@ TEST_F(FaultEngineTest, EngineAppliesActionsAtScheduledTimes) {
   EXPECT_EQ(engine.stats().restarts, 1u);
 }
 
-TEST_F(FaultEngineTest, CrashAndRestartRouteThroughHandlers) {
+TEST_F(FaultEngineTest, CrashAndRestartRouteThroughTheRouter) {
   FaultPlan plan;
   plan.add(10, fault::Crash{NodeId{2}});
   plan.add(20, fault::Restart{NodeId{2}});
   FaultEngine engine(net_, plan);
-  std::vector<std::string> calls;
-  engine.set_crash_handler(
-      [&](NodeId n) { calls.push_back("crash " + to_string(n)); });
-  engine.set_restart_handler(
-      [&](NodeId n) { calls.push_back("restart " + to_string(n)); });
+  std::vector<std::string> routed;
+  engine.route_through([&](const fault::Op& op) {
+    routed.push_back(std::string(fault::op_name(op)) + " " +
+                     fault::describe(op));
+  });
 
   engine.advance_to(30);
-  // The handlers were invoked instead of the direct network apply: the
-  // node never actually left the alive set.
+  // The router was invoked instead of the direct network apply: the node
+  // never actually left the alive set.
   EXPECT_TRUE(net_.is_alive(NodeId{2}));
-  EXPECT_EQ(calls, (std::vector<std::string>{"crash 2", "restart 2"}));
+  EXPECT_EQ(routed,
+            (std::vector<std::string>{"crash node 2", "restart node 2"}));
+  EXPECT_EQ(engine.stats().applied, 2u);
+  EXPECT_EQ(engine.stats().crashes, 1u);
+  EXPECT_EQ(engine.stats().restarts, 1u);
 }
 
 TEST_F(FaultEngineTest, RandomPlanIsDeterministicPerSeed) {

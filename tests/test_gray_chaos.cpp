@@ -5,6 +5,8 @@
 // harness (random plans, shrinking, corpus replay).
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <variant>
@@ -424,6 +426,56 @@ TEST(GrayProperties, CommittedCorpusStillPasses) {
   for (const auto& failure : result.failures) {
     ADD_FAILURE() << failure.violation;
   }
+}
+
+/// A scratch corpus directory, removed again when the test ends.
+class ScratchCorpus {
+ public:
+  explicit ScratchCorpus(const std::string& name)
+      : dir_(std::filesystem::temp_directory_path() /
+             ("dedisys_corpus_" + name)) {
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+  }
+  ~ScratchCorpus() { std::filesystem::remove_all(dir_); }
+
+  void write(const std::string& file, const std::string& text) const {
+    std::ofstream(dir_ / file) << text;
+  }
+  [[nodiscard]] std::string path() const { return dir_.string(); }
+
+ private:
+  std::filesystem::path dir_;
+};
+
+TEST(GrayProperties, CorpusWithoutPlansIsAnError) {
+  const ScratchCorpus corpus("empty");
+  corpus.write("README.txt", "not a plan\n");
+  EXPECT_THROW((void)scenarios::corpus_files(corpus.path()), ConfigError);
+  EXPECT_THROW((void)scenarios::run_corpus(corpus.path(), small_chaos()),
+               ConfigError);
+  EXPECT_THROW(
+      (void)scenarios::run_corpus(corpus.path() + "/missing", small_chaos()),
+      ConfigError);
+}
+
+TEST(GrayProperties, CorpusReportsUnparsableAndUnrunnablePlansByFile) {
+  const ScratchCorpus corpus("bad");
+  corpus.write("bad_seed.plan", "seed x\nat 10 heal\n");
+  corpus.write("bad_flap.plan", "seed 1\nat 10 flap 0 1 0 0\n");
+  corpus.write("unknown_node.plan", "seed 1\nat 10 crash 9\n");
+  const scenarios::PropertySuiteResult result =
+      scenarios::run_corpus(corpus.path(), small_chaos());
+  EXPECT_EQ(result.plans_checked, 3u);
+  ASSERT_EQ(result.failures.size(), 3u);
+  const char* files[] = {"bad_flap.plan", "bad_seed.plan",
+                         "unknown_node.plan"};
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(result.failures[i].violation.rfind(files[i], 0), 0u)
+        << result.failures[i].violation;
+  }
+  EXPECT_NE(result.failures[2].violation.find("node 9"), std::string::npos)
+      << result.failures[2].violation;
 }
 
 // -- gray invariants under single-op plans -----------------------------------

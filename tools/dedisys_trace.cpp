@@ -15,7 +15,10 @@
 //                                    checker must agree with the harness's
 //                                    state-based ground truth on every one
 //   dedisys_trace --corpus DIR       the same cross-check over every
-//                                    *.plan regression seed in DIR
+//                                    *.plan regression seed in DIR (a
+//                                    plan that fails to parse or run is
+//                                    a disagreement; a missing or
+//                                    plan-less DIR exits 2)
 //   dedisys_trace --export FILE      run one seeded gray chaos soak and
 //                                    write its metrics export to FILE
 //                                    (input for the file-based modes)
@@ -23,7 +26,6 @@
 //                                    a one-way-cut end-to-end cross-check
 //
 // Exit status: 0 clean, 1 violation/mismatch/diff, 2 usage or I/O error.
-#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -283,22 +285,25 @@ int run_cross_check(std::uint64_t first_seed, std::size_t seeds) {
 }
 
 int run_corpus_cross_check(const std::string& dir) {
-  namespace fs = std::filesystem;
-  std::vector<fs::path> files;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    if (entry.path().extension() == ".plan") files.push_back(entry.path());
+  std::vector<std::string> files;
+  try {
+    files = scenarios::corpus_files(dir);
+  } catch (const dedisys::ConfigError& e) {
+    std::cerr << e.what() << '\n';
+    return 2;
   }
-  std::sort(files.begin(), files.end());
   std::size_t failures = 0;
-  for (const fs::path& file : files) {
-    bool ok = true;
-    const std::string text = read_file(file.string(), &ok);
-    if (!ok) return 2;
-    scenarios::ChaosOptions options;
-    options.plan = dedisys::plan_from_text(text);
-    options.seed = options.plan->seed;
-    if (!cross_check_one(options, file.filename().string())) ++failures;
+  for (const std::string& file : files) {
+    const std::string name = std::filesystem::path(file).filename().string();
+    try {
+      scenarios::ChaosOptions options;
+      options.plan = scenarios::read_corpus_plan(file);
+      options.seed = options.plan->seed;
+      if (!cross_check_one(options, name)) ++failures;
+    } catch (const std::exception& e) {
+      std::cerr << name << ": " << e.what() << '\n';
+      ++failures;
+    }
   }
   std::cout << "corpus cross-check: " << files.size() << " plan(s), "
             << failures << " disagreement(s)\n";
